@@ -3,7 +3,8 @@
 Every subcommand prints one machine-readable result (JSON by default) on
 stdout; diagnostics go to stderr.  All potentially large numbers are emitted
 as decimal strings.  Exit codes: 0 success, 1 precondition error, 2 budget
-exhaustion, 3 target energy unreached.
+exhaustion, 3 target energy unreached, 4 internal error (a broken invariant,
+such as a built witness failing its recount).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_PRECONDITION = 1
 EXIT_BUDGET = 2
 EXIT_UNREACHED = 3
+EXIT_INTERNAL = 4
 
 
 def _emit(payload: dict, out) -> None:
@@ -299,6 +301,9 @@ def main(argv=None, out=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

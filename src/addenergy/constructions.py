@@ -229,9 +229,11 @@ def dense_ceiling(n: int) -> int:
 def admissible_interval(n: int) -> tuple[int, int]:
     """Guaranteed target band [2n^2-n+66, dense_ceiling-66].
 
-    Within this band (when nonempty; it is empty below n = 20) every target
-    congruent to n mod 4 is reached by the deterministic schedule.  Targets
-    outside the band down to the floor 2n^2-n are attempted best-effort.
+    Within this band every target congruent to n mod 4 is reached by the
+    deterministic schedule.  Below n = 19 the band holds no such target: it
+    is empty up to n = 15 and a single value not congruent to n mod 4 at
+    n = 16..18.  Targets outside the band down to the floor 2n^2-n are
+    attempted best-effort.
     """
     if n < MIN_BUILD_SIZE:
         raise ValueError(f"builder supports n >= {MIN_BUILD_SIZE}")

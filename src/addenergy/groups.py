@@ -17,7 +17,7 @@ from itertools import product
 
 import mpmath
 
-from .intset import _as_intset
+from .intset import _as_intset, energy_oracle
 
 GROUP_ENERGY_CAP = 10_000
 SIDON_CHECK_CAP = 1_000
@@ -239,15 +239,10 @@ def density_curve(n: int, p: int) -> list[TradeoffPoint]:
 
 
 def integer_sidon_check(a) -> bool:
-    """Sidon test for an integer set via embedding in a large cyclic group.
+    """Sidon test for an integer set: all unordered pair sums are distinct.
 
-    A finite integer set is Sidon iff its image in Z_m is, once m exceeds
-    twice the diameter (no sums can wrap).
+    That holds iff a1 + a2 = a3 + a4 has only the trivial solutions, i.e.
+    iff E(A) equals the Sidon minimum 2|A|^2 - |A|.
     """
     s = _as_intset(a)
-    if len(s) < 2:
-        return True
-    m = 4 * s.diameter + 4
-    base = s.elements[0]
-    spec = GroupSpec((m,))
-    return is_sidon(GroupSet(spec, frozenset((x - base,) for x in s.elements)))
+    return energy_oracle(s) == sidon_energy(len(s))

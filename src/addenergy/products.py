@@ -3,13 +3,14 @@
 A product set is a list of factor sets added componentwise (no wraparound).
 Quadruple identities split coordinatewise, so the energy of the product is
 the product of the factor energies; ``product_energy_oracle`` checks that
-extensionally by materializing the tuples and counting, via a carry-free
-digit encoding that is independent of the multiplicative route.
+extensionally by materializing the tuples as carry-free integer codes and
+handing them to ``intset.energy_oracle``, a route independent of the
+multiplicative one.  The boolean-cube exponent counts its subsets the same
+way, through radix-3 codes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -19,11 +20,10 @@ import numpy as np
 
 from .constructions import build_with_target_energy
 from .errors import BudgetError, default_budget
-from .intset import IntSet, _as_intset, energy_oracle
+from .intset import IntSet, _as_intset, _int64_safe, energy_oracle
 
 MATERIALIZE_CAP = 10_000
 _PAIR_CAP = 20_000_000
-_INT64_SAFE = 2**62
 
 KT_EXPONENT = log2(6)  # boolean-cube energy exponent; tight at full cubes
 
@@ -94,33 +94,18 @@ def _encode(p: ProductSet) -> list[int]:
 
 
 def product_energy_oracle(p: ProductSet, cap: int = MATERIALIZE_CAP) -> int:
-    """Energy by materializing all tuples and counting pair sums directly."""
+    """Energy by materializing all tuples and counting pair sums directly.
+
+    The tuples become distinct carry-free integer codes, so the product's
+    energy is ``energy_oracle`` of the codes.  Codes outside int64 are
+    counted pair by pair in Python, which is refused past ``_PAIR_CAP`` pairs.
+    """
     if p.size > cap:
         raise ValueError(f"product of size {p.size} exceeds the cap {cap}")
     codes = _encode(p)
-    n = len(codes)
-    if max(codes) < _INT64_SAFE:
-        arr = np.array(codes, dtype=np.int64)
-        step = max(1, _PAIR_CAP // (4 * n))
-        vals, cnts = [], []
-        for lo in range(0, n, step):
-            v, c = np.unique(arr[lo:lo + step, None] + arr[None, :], return_counts=True)
-            vals.append(v)
-            cnts.append(c)
-        allv = np.concatenate(vals)
-        allc = np.concatenate(cnts)
-        uniq, inv = np.unique(allv, return_inverse=True)
-        total = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(total, inv, allc)
-        return int(np.dot(total, total))
-    if n * n > _PAIR_CAP:
-        raise BudgetError(n * n, _PAIR_CAP, "materialized pair counting")
-    counts: Counter = Counter()
-    for i, x in enumerate(codes):
-        counts[2 * x] += 1
-        for y in codes[i + 1:]:
-            counts[x + y] += 2
-    return sum(c * c for c in counts.values())
+    if p.size**2 > _PAIR_CAP and not _int64_safe(codes):
+        raise BudgetError(p.size**2, _PAIR_CAP, "materialized pair counting")
+    return energy_oracle(codes)
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +121,6 @@ class CubeExponentReport:
     max_subset: tuple[tuple[int, ...], ...] | None
 
 
-def _tuple_energy(points) -> int:
-    counts: Counter = Counter()
-    pts = list(points)
-    for i, x in enumerate(pts):
-        counts[tuple(2 * c for c in x)] += 1
-        for y in pts[i + 1:]:
-            counts[tuple(a + b for a, b in zip(x, y))] += 2
-    return sum(c * c for c in counts.values())
-
-
 def cube_energy_exponent(k: int) -> CubeExponentReport:
     """Full-cube energy 6^k plus, for k <= 3, the exhaustive subset maximum
     of log E(A) / log |A| over all A in {0,1}^k with |A| >= 2."""
@@ -155,10 +130,12 @@ def cube_energy_exponent(k: int) -> CubeExponentReport:
     if k > 3:
         return CubeExponentReport(k, cube_energy, KT_EXPONENT, None, None)
     points = list(product((0, 1), repeat=k))
+    # radix-3 codes: coordinate sums are at most 2, so pair sums are carry-free
+    code = {pt: sum(c * 3**i for i, c in enumerate(pt)) for pt in points}
     best, best_subset = None, None
     for size in range(2, len(points) + 1):
         for subset in combinations(points, size):
-            ratio = np.log(_tuple_energy(subset)) / np.log(size)
+            ratio = np.log(energy_oracle([code[pt] for pt in subset])) / np.log(size)
             if best is None or ratio > best:
                 best, best_subset = ratio, subset
     return CubeExponentReport(k, cube_energy, KT_EXPONENT, float(best), best_subset)

@@ -54,7 +54,6 @@ class GapEntry:
     from_energy: int
     to_energy: int
     gap: int
-    flagged: bool
 
 
 def default_diameter_bound(n: int) -> int:
@@ -160,21 +159,11 @@ def _spectrum_chunk(args: tuple[int, list[int]]) -> dict[int, tuple[int, ...]]:
 
 
 def spectrum_gaps(s: EnergySpectrum) -> list[GapEntry]:
-    """Consecutive differences; gaps > 4 inside the guaranteed band are flagged."""
+    """Consecutive differences between the recorded energies."""
     if not s.entries:
         raise ValueError("empty spectrum has no gaps")
-    band = None
-    if s.n >= 12:
-        from .constructions import admissible_interval
-        lo, hi = admissible_interval(s.n)
-        if lo <= hi:
-            band = (lo, hi)
-    out = []
     energies = s.energies()
-    for a, b in zip(energies, energies[1:]):
-        flagged = bool(band and b - a > 4 and a < band[1] and b > band[0])
-        out.append(GapEntry(a, b, b - a, flagged))
-    return out
+    return [GapEntry(a, b, b - a) for a, b in zip(energies, energies[1:])]
 
 
 def residue_check(s: EnergySpectrum) -> bool:

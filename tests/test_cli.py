@@ -154,6 +154,17 @@ def test_budget_env_override(monkeypatch):
     assert code == 0
 
 
+def test_exit_code_internal(monkeypatch, capsys):
+    # a builder whose self-check recount disagrees is a broken invariant,
+    # not a bad request
+    from addenergy import constructions
+    monkeypatch.setattr(constructions, "energy_oracle", lambda a: -1)
+    code, out = run_cli(["construct", "--n", "20", "--target", "848"])
+    assert code == 4
+    assert out == ""
+    assert capsys.readouterr().err.startswith("internal error: ")
+
+
 def test_byte_identical_reruns():
     for argv in (
         ["energy", "--set", "5,1,9"],

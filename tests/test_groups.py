@@ -13,6 +13,7 @@ from addenergy import (
     density_curve,
     group_energy,
     group_product,
+    integer_sidon_check,
     is_sidon,
     sidon_energy,
     sidon_parabola,
@@ -78,6 +79,34 @@ def test_is_sidon_examples():
     assert is_sidon(sidon_parabola(5))
     # doubles may coincide in 2-torsion: {0,1} in Z_2 has 0+0 = 1+1
     assert not is_sidon(GroupSet.of(GroupSpec((2,)), [(0,), (1,)]))
+
+
+def brute_integer_sidon(els):
+    """All sums of unordered pairs, doubles included, are distinct."""
+    els = sorted(set(els))
+    sums = [x + y for i, x in enumerate(els) for y in els[i:]]
+    return len(sums) == len(set(sums))
+
+
+def test_integer_sidon_examples():
+    assert not integer_sidon_check([0, 1, 2])  # 0 + 2 = 1 + 1
+    assert not integer_sidon_check([0, 1, 3, 4])  # 0 + 4 = 1 + 3
+    assert integer_sidon_check([0, 1, 3, 7])
+    assert integer_sidon_check([]) and integer_sidon_check([5])
+    # powers of two are Sidon: 40 of them fit int64, 70 do not
+    assert integer_sidon_check([2**k for k in range(40)])
+    assert integer_sidon_check([2**k for k in range(70)])
+    assert not integer_sidon_check([2**k for k in range(70)] + [3 * 2**40])
+
+
+def test_integer_sidon_random_sweep():
+    rng = random.Random(4001)
+    verdicts = []
+    for _ in range(600):
+        els = rng.sample(range(-80, 80), rng.randint(0, 8))
+        verdicts.append(integer_sidon_check(els))
+        assert verdicts[-1] == brute_integer_sidon(els)
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_parabola_suite():

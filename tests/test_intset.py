@@ -17,7 +17,7 @@ from addenergy import (
     max_energy,
     normalize,
 )
-from addenergy.intset import _energy_numpy
+from addenergy.intset import _energy_numpy, _int64_safe
 
 
 def incremental_rebuild(a):
@@ -172,6 +172,17 @@ def test_numpy_and_python_paths_agree():
         els = tuple(sorted(rng.sample(range(-10**6, 10**6), rng.randint(32, 80))))
         slow = energy_from_profile(difference_profile(els))
         assert _energy_numpy(els) == slow
+
+
+def test_int64_boundary_routes():
+    # +-(2^62 - 1) keeps every pair sum inside int64, so the numpy route
+    # counts it; moving one element to 2^62 sends the set to the Counter
+    edge = 2**62 - 1
+    inside = IntSet(list(range(40)) + [edge, -edge])
+    outside = IntSet(list(range(40)) + [2**62, -edge])
+    assert _int64_safe(inside.elements) and not _int64_safe(outside.elements)
+    for a in (inside, outside):
+        assert energy_oracle(a) == energy_from_profile(difference_profile(a))
 
 
 def test_energy_bounds_and_extremes():

@@ -17,6 +17,7 @@ from addenergy import (
     product_set,
     ratio_chain,
 )
+from addenergy.products import _PAIR_CAP, _encode
 
 
 def random_factor_list(rng, max_alphabet=12, max_dims=4, size_cap=10_000):
@@ -167,6 +168,11 @@ def test_oracle_python_fallback_path():
     # alphabet too large to encode into int64 forces the big-int route
     p = product_set([[0, 1, 10**18], [0, 10**17]], 10**18 + 1)
     assert product_energy_oracle(p) == product_energy(p) == 15 * 6
+    # 42 codes reach past 2^62 yet stay under the pair cap: energy_oracle
+    # counts them on its Counter route even though n >= 32
+    p = product_set([[0, 1, 2, 3, 4, 5, 2**32 - 1], [0, 1, 2, 3, 4, 2**32 - 1]])
+    assert max(_encode(p)) >= 2**62 and p.size**2 <= _PAIR_CAP
+    assert product_energy_oracle(p) == product_energy(p)
     wide = product_set([list(range(0, 71 * 10**10, 10**10))] * 2)
     with pytest.raises(BudgetError):
         # 5041^2 big-int pairs exceeds the pair cap

@@ -62,8 +62,6 @@ def test_gap_listing():
         == [(15, 19, 4)]
     assert [(g.from_energy, g.to_energy, g.gap) for g in spectrum_gaps(enumerate_spectrum(4, 12))] \
         == [(28, 32, 4), (32, 36, 4), (36, 44, 8)]
-    # the single gap > 4 at n=4 sits outside any guaranteed band
-    assert not any(g.flagged for g in spectrum_gaps(enumerate_spectrum(4, 12)))
 
 
 def test_monotone_coverage():
