@@ -2,9 +2,10 @@
 
 Every subcommand prints one machine-readable result (JSON by default) on
 stdout; diagnostics go to stderr.  All potentially large numbers are emitted
-as decimal strings.  Exit codes: 0 success, 1 precondition error, 2 budget
-exhaustion, 3 target energy unreached, 4 internal error (a broken invariant,
-such as a built witness failing its recount).
+as decimal strings.  Exit codes: 0 success, 1 precondition error (a usage
+error or a bad ADDENERGY_BUDGET included), 2 budget exhaustion, 3 target
+energy unreached, 4 internal error (a broken invariant, such as a built
+witness failing its recount).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import mpmath
 
 from . import constructions as cons
 from . import groups, products, spectrum
-from .errors import BudgetError, default_budget
+from .errors import BudgetError
 from .intset import IntSet, difference_profile, energy_oracle
 from .verify import SUITES, run_suite
 
@@ -98,16 +99,17 @@ def _cmd_spectrum(args, out) -> int:
 def _cmd_product(args, out) -> int:
     factors = [_load_factor(p) for p in args.factors.split(",")]
     p = products.product_set(factors, args.alphabet)
+    energy = products.product_energy(p)
     payload = {
         "alphabet_size": str(p.alphabet_size),
         "factor_sizes": [len(f) for f in p.factors],
         "size": str(p.size),
-        "energy": str(products.product_energy(p)),
+        "energy": str(energy),
     }
     if args.oracle:
         oracle = products.product_energy_oracle(p)
         payload["oracle_energy"] = str(oracle)
-        payload["agrees"] = oracle == products.product_energy(p)
+        payload["agrees"] = oracle == energy
     _emit(payload, out)
     return EXIT_OK
 
@@ -145,8 +147,9 @@ def _cmd_sidon(args, out) -> int:
         "elements": [list(x) for x in sorted(s.elements)],
     }
     if args.check:
-        payload["is_sidon"] = groups.is_sidon(s)
-        payload["energy"] = str(groups.group_energy(s))
+        energy = groups.group_energy(s)
+        payload["is_sidon"] = energy == groups.sidon_energy(len(s))
+        payload["energy"] = str(energy)
     _emit(payload, out)
     return EXIT_OK
 
@@ -289,11 +292,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, out=None) -> int:
-    args = _build_parser().parse_args(argv)
-    if args.budget is None:
-        args.budget = default_budget()
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage-error code 2 means budget here
+        raise SystemExit(EXIT_PRECONDITION if exc.code == 2 else exc.code) from None
     out = out or sys.stdout
     try:
+        if args.threads < 1 or (args.budget is not None and args.budget < 1):
+            raise ValueError("--threads and --budget must be positive")
         return args.func(args, out)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -22,7 +22,10 @@ def default_budget() -> int:
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_WORK_BUDGET
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
     if value <= 0:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive")
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a positive integer, got {raw!r}")
     return value

@@ -20,7 +20,6 @@ import mpmath
 from .intset import _as_intset, energy_oracle
 
 GROUP_ENERGY_CAP = 10_000
-SIDON_CHECK_CAP = 1_000
 _REPORT_DPS = 100
 
 
@@ -71,16 +70,16 @@ class GroupSet:
         return cls(group, frozenset(tuple(int(c) for c in x) for x in elements))
 
     @classmethod
-    def full(cls, group: GroupSpec, cap: int = GROUP_ENERGY_CAP) -> "GroupSet":
-        if group.order > cap:
-            raise ValueError(f"group order {group.order} exceeds the cap {cap}")
+    def full(cls, group: GroupSpec) -> "GroupSet":
+        if group.order > GROUP_ENERGY_CAP:
+            raise ValueError(f"group order {group.order} exceeds the cap {GROUP_ENERGY_CAP}")
         return cls(group, frozenset(group.elements()))
 
 
-def sum_profile(a: GroupSet, cap: int = GROUP_ENERGY_CAP) -> dict:
+def sum_profile(a: GroupSet) -> dict:
     """r(x) = number of ordered pairs of A summing to x."""
-    if len(a) > cap:
-        raise ValueError(f"set size {len(a)} exceeds the cap {cap}")
+    if len(a) > GROUP_ENERGY_CAP:
+        raise ValueError(f"set size {len(a)} exceeds the cap {GROUP_ENERGY_CAP}")
     add = a.group.add
     els = sorted(a.elements)
     prof: dict = {}
@@ -93,29 +92,24 @@ def sum_profile(a: GroupSet, cap: int = GROUP_ENERGY_CAP) -> dict:
     return prof
 
 
-def group_energy(a: GroupSet, cap: int = GROUP_ENERGY_CAP) -> int:
+def group_energy(a: GroupSet) -> int:
     """E(A) under the group addition, via the representation profile."""
-    return sum(r * r for r in sum_profile(a, cap).values())
+    return sum(r * r for r in sum_profile(a).values())
 
 
-def sumset(a: GroupSet, cap: int = GROUP_ENERGY_CAP) -> frozenset:
-    return frozenset(sum_profile(a, cap))
+def sumset(a: GroupSet) -> frozenset:
+    return frozenset(sum_profile(a))
 
 
-def is_sidon(a: GroupSet, cap: int = SIDON_CHECK_CAP) -> bool:
-    """True iff all sums of unordered pairs (doubles included) are distinct."""
-    if len(a) > cap:
-        raise ValueError(f"set size {len(a)} exceeds the cap {cap}")
-    add = a.group.add
-    els = sorted(a.elements)
-    seen = set()
-    for i, x in enumerate(els):
-        for y in els[i:]:
-            s = add(x, y)
-            if s in seen:
-                return False
-            seen.add(s)
-    return True
+def is_sidon(a: GroupSet) -> bool:
+    """True iff all sums of unordered pairs (doubles included) are distinct,
+    i.e. iff E(A) = 2|A|^2 - |A|, in any abelian group, 2-torsion included.
+
+    A sum hit by u pairs of distinct elements and v doubles has r = 2u + v
+    and adds r^2 - (4u + v) = 4u(u-1) + 4uv + v(v-1) >= 0 to E - (2|A|^2 - |A|);
+    that is zero iff (u, v) is (0, 0), (1, 0) or (0, 1), one pair per sum.
+    """
+    return group_energy(a) == sidon_energy(len(a))
 
 
 def _is_odd_prime(p: int) -> bool:
@@ -150,13 +144,13 @@ def sidon_energy(size: int) -> int:
     return 2 * size * size - size
 
 
-def group_product(*sets: GroupSet, cap: int = GROUP_ENERGY_CAP) -> GroupSet:
+def group_product(*sets: GroupSet) -> GroupSet:
     """Direct product of group sets, with concatenated residue vectors."""
     size = 1
     for s in sets:
         size *= len(s)
-    if size > cap:
-        raise ValueError(f"product of size {size} exceeds the cap {cap}")
+    if size > GROUP_ENERGY_CAP:
+        raise ValueError(f"product of size {size} exceeds the cap {GROUP_ENERGY_CAP}")
     spec = GroupSpec(tuple(m for s in sets for m in s.group.orders))
     members = set()
     for combo in product(*(sorted(s.elements) for s in sets)):
@@ -164,13 +158,13 @@ def group_product(*sets: GroupSet, cap: int = GROUP_ENERGY_CAP) -> GroupSet:
     return GroupSet(spec, frozenset(members))
 
 
-def cauchy_bound_check(a: GroupSet, cap: int = GROUP_ENERGY_CAP) -> bool:
+def cauchy_bound_check(a: GroupSet) -> bool:
     """Exact integer check of |A|^4 <= |A+A| * E(A) <= |G| * E(A).
 
     The second inequality is the density form 4*alpha <= 1 + alpha*(2+delta)
     with alpha = log|A|/log|G| and delta = log E/log|A| - 2.
     """
-    prof = sum_profile(a, cap)
+    prof = sum_profile(a)
     n = len(a)
     if n == 0:
         return True

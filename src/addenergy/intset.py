@@ -31,6 +31,8 @@ _INT64_SAFE = 2**62
 _NUMPY_MIN_SIZE = 32
 # row block size for the chunked pairwise-sum matrix (bounds peak memory)
 _PAIR_BLOCK = 8_000_000
+# largest set the O(n^4) quadruple count accepts
+_QUADRUPLE_CAP = 40
 
 
 class IntSet:
@@ -180,12 +182,12 @@ def energy_oracle(a) -> int:
     return sum(c * c for c in counts.values())
 
 
-def energy_by_quadruples(a, cap: int = 40) -> int:
-    """Literal quadruple count; independent cross-check, O(n^4), n <= cap."""
+def energy_by_quadruples(a) -> int:
+    """Literal quadruple count; independent cross-check, O(n^4), n <= 40."""
     s = _as_intset(a)
     els = s.elements
-    if len(els) > cap:
-        raise ValueError(f"quadruple counting is capped at {cap} elements")
+    if len(els) > _QUADRUPLE_CAP:
+        raise ValueError(f"quadruple counting is capped at {_QUADRUPLE_CAP} elements")
     count = 0
     for a1 in els:
         for a2 in els:
@@ -232,10 +234,11 @@ def affine_image(a, scale: int, shift: int) -> IntSet:
 
 
 def incremental_energy_extend(a, energy_a: int, a_new: int) -> int:
-    """Energy after appending a_new > max(A), without recounting.
+    """Energy after appending a_new > max(A), from the energy of A.
 
     The increment is 4n + 4*sum(t_j) + 1 where t_j = d+(a_new - a_j) is read
-    from the difference profile of A.  Requires |A| >= 1.
+    from the difference profile of A.  That profile is rebuilt on each call,
+    so a call costs O(n^2), not O(n).  Requires |A| >= 1.
     """
     s = _as_intset(a)
     if len(s) < 1:

@@ -75,9 +75,9 @@ def product_energy(p: ProductSet) -> int:
     return out
 
 
-def materialize(p: ProductSet, cap: int = MATERIALIZE_CAP) -> list[tuple[int, ...]]:
-    if p.size > cap:
-        raise ValueError(f"product of size {p.size} exceeds the cap {cap}")
+def materialize(p: ProductSet) -> list[tuple[int, ...]]:
+    if p.size > MATERIALIZE_CAP:
+        raise ValueError(f"product of size {p.size} exceeds the cap {MATERIALIZE_CAP}")
     return list(product(*(f.elements for f in p.factors)))
 
 
@@ -93,19 +93,21 @@ def _encode(p: ProductSet) -> list[int]:
     return codes
 
 
-def product_energy_oracle(p: ProductSet, cap: int = MATERIALIZE_CAP) -> int:
+def product_energy_oracle(p: ProductSet) -> int:
     """Energy by materializing all tuples and counting pair sums directly.
 
     The tuples become distinct carry-free integer codes, so the product's
     energy is ``energy_oracle`` of the codes.  Codes outside int64 are
     counted pair by pair in Python, which is refused past ``_PAIR_CAP`` pairs.
     """
-    if p.size > cap:
-        raise ValueError(f"product of size {p.size} exceeds the cap {cap}")
+    if p.size > MATERIALIZE_CAP:
+        raise ValueError(f"product of size {p.size} exceeds the cap {MATERIALIZE_CAP}")
     codes = _encode(p)
     if p.size**2 > _PAIR_CAP and not _int64_safe(codes):
         raise BudgetError(p.size**2, _PAIR_CAP, "materialized pair counting")
-    return energy_oracle(codes)
+    # already strictly ascending: _encode walks the sorted factors in lex
+    # order, and every digit is below the radix
+    return energy_oracle(IntSet._from_sorted(tuple(codes)))
 
 
 # ---------------------------------------------------------------------------

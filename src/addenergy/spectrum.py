@@ -5,6 +5,9 @@ Energies are affine-invariant, so only normalized sets are visited: minimum
 lexicographically smaller one.  The search is bounded by a maximum diameter;
 the ``complete`` flag refers to the searched region only, since a set whose
 normalized diameter exceeds the bound is never visited.
+
+Each energy gets its lexicographically smallest witness: one ``np.unique``
+picks it per block of candidate rows, and merges keep the smaller witness.
 """
 
 from __future__ import annotations
@@ -77,39 +80,6 @@ def _batch_energies(rows: np.ndarray) -> np.ndarray:
     return np.sum(2 * (cols - run_start) + 1, axis=1)
 
 
-def _enumerate_diameter(n: int, d: int) -> dict[int, tuple[int, ...]]:
-    """Energies of canonical normalized sets {0, ..., d}; lex-min witnesses."""
-    found: dict[int, tuple[int, ...]] = {}
-    middles = combinations(range(1, d), n - 2)
-    while True:
-        chunk = list(islice(middles, _CHUNK))
-        if not chunk:
-            break
-        rows = np.zeros((len(chunk), n), dtype=np.int64)
-        if n > 2:
-            rows[:, 1:-1] = np.array(chunk, dtype=np.int64)
-        rows[:, -1] = d
-        keep = np.gcd.reduce(rows, axis=1) == 1
-        if not keep.all():
-            rows = rows[keep]
-        if len(rows) == 0:
-            continue
-        # reflection dedup: keep rows lexicographically <= their mirror
-        refl = d - rows[:, ::-1]
-        diff = rows - refl
-        first = np.argmax(diff != 0, axis=1)
-        keep = diff[np.arange(len(rows)), first] <= 0
-        rows = rows[keep]
-        if len(rows) == 0:
-            continue
-        for row, e in zip(rows, _batch_energies(rows)):
-            e = int(e)
-            w = tuple(int(x) for x in row)
-            if e not in found or w < found[e]:
-                found[e] = w
-    return found
-
-
 def enumerate_spectrum(n: int, diameter_bound: int | None = None,
                        budget: int | None = None, threads: int = 1) -> EnergySpectrum:
     """Visit every normalized n-element set with diameter <= diameter_bound.
@@ -131,7 +101,6 @@ def enumerate_spectrum(n: int, diameter_bound: int | None = None,
         raise BudgetError(visits, budget, f"spectrum(n={n}, diameter={diameter_bound})")
 
     diameters = list(range(n - 1, diameter_bound + 1))
-    merged: dict[int, tuple[int, ...]] = {}
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
         chunks = [diameters[i::threads] for i in range(threads)]
@@ -140,22 +109,42 @@ def enumerate_spectrum(n: int, diameter_bound: int | None = None,
         partials = list(results)
     else:
         partials = [_spectrum_chunk((n, diameters))]
+    merged: dict[int, tuple[int, ...]] = {}
     for part in partials:
-        for e, w in part.items():
-            if e not in merged or w < merged[e]:
-                merged[e] = w
+        _keep_min(merged, part.items())
     entries = tuple((e, IntSet._from_sorted(merged[e])) for e in sorted(merged))
     return EnergySpectrum(n, diameter_bound, entries, complete=True)
 
 
+def _keep_min(found: dict[int, tuple[int, ...]], pairs) -> None:
+    """Merge (energy, witness) pairs into found, keeping lex-smaller witnesses."""
+    for e, w in pairs:
+        if e not in found or w < found[e]:
+            found[e] = w
+
+
 def _spectrum_chunk(args: tuple[int, list[int]]) -> dict[int, tuple[int, ...]]:
+    """Energies of canonical normalized sets {0, ..., d}, d in diameters,
+    with lex-min witnesses.  ``combinations`` yields rows in lex order and the
+    mask keeps it, so ``np.unique``'s first index is the block's lex-min row.
+    """
     n, diameters = args
-    out: dict[int, tuple[int, ...]] = {}
+    found: dict[int, tuple[int, ...]] = {}
     for d in diameters:
-        for e, w in _enumerate_diameter(n, d).items():
-            if e not in out or w < out[e]:
-                out[e] = w
-    return out
+        middles = combinations(range(1, d), n - 2)
+        while block := list(islice(middles, _CHUNK)):
+            rows = np.zeros((len(block), n), dtype=np.int64)
+            rows[:, 1:-1] = block
+            rows[:, -1] = d
+            # keep gcd-1 rows that are lexicographically <= their mirror
+            diff = rows - (d - rows[:, ::-1])
+            first = np.argmax(diff != 0, axis=1)
+            keep = ((np.gcd.reduce(rows, axis=1) == 1)
+                    & (diff[np.arange(len(rows)), first] <= 0))
+            rows = rows[keep]
+            energies, index = np.unique(_batch_energies(rows), return_index=True)
+            _keep_min(found, zip(energies.tolist(), map(tuple, rows[index].tolist())))
+    return found
 
 
 def spectrum_gaps(s: EnergySpectrum) -> list[GapEntry]:

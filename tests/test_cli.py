@@ -154,6 +154,42 @@ def test_budget_env_override(monkeypatch):
     assert code == 0
 
 
+def test_bad_budget_env_is_a_precondition_error(monkeypatch, capsys):
+    for raw in ("abc", "0", "-5"):
+        monkeypatch.setenv("ADDENERGY_BUDGET", raw)
+        # commands that never consult the budget are unaffected
+        assert run_cli(["energy", "--set", "0,1,2"]) == (0, '{"energy":"19","n":3}\n')
+        capsys.readouterr()
+        code, out = run_cli(["spectrum", "--n", "4", "--diameter", "12"])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("error: ADDENERGY_BUDGET")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--budget", "0", "energy", "--set", "1"],
+    ["--budget", "-7", "spectrum", "--n", "4", "--diameter", "12"],
+    ["--threads", "0", "spectrum", "--n", "4", "--diameter", "12"],
+    ["--threads", "-2", "energy", "--set", "1"],
+])
+def test_non_positive_flags_exit_1(argv, capsys):
+    assert run_cli(argv) == (1, "")
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [["energy"], ["no-such-command"], ["--threads", "x", "verify"]])
+def test_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0():
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["energy", "--help"])
+    assert exc.value.code == 0
+
+
 def test_exit_code_internal(monkeypatch, capsys):
     # a builder whose self-check recount disagrees is a broken invariant,
     # not a bad request

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
@@ -66,7 +67,10 @@ def test_group_spec_validation():
     with pytest.raises(ValueError):
         GroupSet.of(GroupSpec((3,)), [(5,)])
     with pytest.raises(ValueError):
-        group_energy(GroupSet.full(GroupSpec((200, 200)), cap=10**6), cap=100)
+        GroupSet.full(GroupSpec((200, 200)))
+    spec = GroupSpec((101, 100))
+    with pytest.raises(ValueError):
+        group_energy(GroupSet(spec, frozenset(islice(spec.elements(), 10_001))))
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +110,28 @@ def test_integer_sidon_random_sweep():
         els = rng.sample(range(-80, 80), rng.randint(0, 8))
         verdicts.append(integer_sidon_check(els))
         assert verdicts[-1] == brute_integer_sidon(els)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def brute_group_sidon(a):
+    """All sums of unordered pairs, doubles included, are distinct."""
+    els = sorted(a.elements)
+    sums = [a.group.add(x, y) for i, x in enumerate(els) for y in els[i:]]
+    return len(sums) == len(set(sums))
+
+
+def test_group_sidon_random_sweep():
+    # groups with 2-torsion, where 2x = 2y for x != y can break the property
+    rng = random.Random(4003)
+    verdicts = []
+    for _ in range(1500):
+        orders = [rng.choice((2, 4, 6, 8))]
+        orders += [rng.choice((2, 3, 4, 5, 6)) for _ in range(rng.randint(0, 2))]
+        spec = GroupSpec(tuple(orders))
+        pool = list(spec.elements())
+        a = GroupSet.of(spec, rng.sample(pool, rng.randint(1, min(len(pool), 7))))
+        verdicts.append(is_sidon(a))
+        assert verdicts[-1] == brute_group_sidon(a)
     assert 0 < sum(verdicts) < len(verdicts)
 
 

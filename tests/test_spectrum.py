@@ -4,9 +4,12 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addenergy import (
     BudgetError,
+    IntSet,
     energy_by_quadruples,
     enumerate_spectrum,
     integer_sidon_check,
@@ -18,9 +21,10 @@ from addenergy import (
 )
 
 
-def brute_spectrum(n, diameter_bound):
-    """Independent oracle: literal quadruple counting over all normalized sets."""
-    energies = set()
+def brute_witnesses(n, diameter_bound):
+    """Each energy with its lex-min witness over all gcd-1 sets {0, ..., d},
+    reflections included, counted by literal quadruples."""
+    found = {}
     for d in range(n - 1, diameter_bound + 1):
         for mid in combinations(range(1, d), n - 2):
             s = (0,) + mid + (d,)
@@ -28,8 +32,23 @@ def brute_spectrum(n, diameter_bound):
             for v in s:
                 g = gcd(g, v)
             if g == 1:
-                energies.add(energy_by_quadruples(s))
-    return sorted(energies)
+                e = energy_by_quadruples(s)
+                found[e] = min(found.get(e, s), s)
+    return tuple((e, IntSet._from_sorted(found[e])) for e in sorted(found))
+
+
+def brute_spectrum(n, diameter_bound):
+    """Independent oracle: literal quadruple counting over all normalized sets."""
+    return [e for e, _ in brute_witnesses(n, diameter_bound)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.integers(2, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(n - 1, 16))))
+def test_witnesses_are_lex_min(case):
+    n, d = case
+    want = brute_witnesses(n, d)
+    for threads in (1, 2):
+        assert enumerate_spectrum(n, d, threads=threads).entries == want
 
 
 def test_pinned_small_spectra():
