@@ -11,8 +11,8 @@ computes it by three mutually checking routes:
     (``incremental_energy_extend``).
 
 All arithmetic is exact.  Elements are arbitrary-precision Python ints; a
-numpy fast path is taken only when every element provably fits in int64 so
-that pairwise sums cannot overflow.
+numpy fast path counts the offsets x - min(A), taken only when the diameter
+is below 2^62 so that every pair sum of offsets fits in int64.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-# |x| below this bound keeps x + y inside int64 for all pairs
+# a diameter below this bound keeps every offset pair sum inside int64
 _INT64_SAFE = 2**62
 # below this size the pure-Python Counter path wins anyway
 _NUMPY_MIN_SIZE = 32
-# row block size for the chunked pairwise-sum matrix (bounds peak memory)
+# most pair sums, and most bincount bins, held at once on the bincount route
 _PAIR_BLOCK = 8_000_000
 # largest set the O(n^4) quadruple count accepts
 _QUADRUPLE_CAP = 40
@@ -135,29 +135,32 @@ def _as_intset(a) -> IntSet:
     return a if isinstance(a, IntSet) else IntSet(a)
 
 
-def _int64_safe(elements: tuple[int, ...]) -> bool:
-    return all(-_INT64_SAFE < x < _INT64_SAFE for x in elements)
+def _int64_safe(elements) -> bool:
+    """Diameter test of a sorted sequence: offsets fit int64 with pair sums."""
+    return elements[-1] - elements[0] < _INT64_SAFE
 
 
 def _energy_numpy(elements: tuple[int, ...]) -> int:
-    """Sum-multiset count over the full ordered-pair matrix, chunked by rows."""
-    arr = np.array(elements, dtype=np.int64)
-    n = len(arr)
-    step = max(1, _PAIR_BLOCK // n)
-    if step >= n:
+    """Sum-multiset count of the offsets x - min, for ``_int64_safe`` sets.
+
+    Offsets lie in [0, 2^62), so pair sums lie in [0, 2^63).  If 2*diameter
+    < min(n^2, ``_PAIR_BLOCK``), ``np.bincount`` counts them into 2*diameter+1
+    bins, in row blocks of at most ``_PAIR_BLOCK`` sums; else one ``np.unique``
+    does.  Each r(s) <= n, and sum r(s)^2 = E <= n^3 fits int64 for n < 2^21.
+    """
+    m = elements[0]
+    arr = np.array([x - m for x in elements], dtype=np.int64)
+    n, diameter = len(arr), elements[-1] - m
+    if 2 * diameter < min(n * n, _PAIR_BLOCK):
+        bins = 2 * diameter + 1
+        step = max(1, _PAIR_BLOCK // n)
+        counts = np.zeros(bins, dtype=np.int64)
+        for lo in range(0, n, step):  # a block built in the call dies before the next
+            counts += np.bincount((arr[lo:lo + step, None] + arr[None, :]).ravel(),
+                                  minlength=bins)
+    else:
         _, counts = np.unique(arr[:, None] + arr[None, :], return_counts=True)
-        return int(np.dot(counts, counts))
-    vals, cnts = [], []
-    for lo in range(0, n, step):
-        v, c = np.unique(arr[lo:lo + step, None] + arr[None, :], return_counts=True)
-        vals.append(v)
-        cnts.append(c)
-    allv = np.concatenate(vals)
-    allc = np.concatenate(cnts)
-    uniq, inv = np.unique(allv, return_inverse=True)
-    total = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(total, inv, allc)
-    return int(np.dot(total, total))
+    return int(np.dot(counts, counts))
 
 
 def energy_oracle(a) -> int:
@@ -165,7 +168,9 @@ def energy_oracle(a) -> int:
 
     For each attainable sum s the number r(s) of ordered pairs summing to s
     is counted; the energy is sum r(s)^2.  This is the reference method every
-    other energy route is checked against.
+    other energy route is checked against.  Sets of ``_NUMPY_MIN_SIZE`` or
+    more elements and diameter below 2^62 go to ``_energy_numpy``; the rest
+    to a Counter.
     """
     s = _as_intset(a)
     els = s.elements

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, log2
+from math import comb, log2, prod
 
 import numpy as np
 
@@ -48,10 +48,7 @@ class ProductSet:
 
     @property
     def size(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= len(f)
-        return out
+        return prod(len(f) for f in self.factors)
 
     @property
     def dimension(self) -> int:
@@ -69,10 +66,7 @@ def product_set(factors, alphabet_size: int | None = None) -> ProductSet:
 
 def product_energy(p: ProductSet) -> int:
     """Energy via multiplicativity: the product of factor energies."""
-    out = 1
-    for f in p.factors:
-        out *= energy_oracle(f)
-    return out
+    return prod(energy_oracle(f) for f in p.factors)
 
 
 def materialize(p: ProductSet) -> list[tuple[int, ...]]:
@@ -85,7 +79,7 @@ def _encode(p: ProductSet) -> list[int]:
     """Tuples as digits in radix 2M-1, under which pair sums are carry-free."""
     radix = 2 * p.alphabet_size - 1
     codes = []
-    for tup in product(*(f.elements for f in p.factors)):
+    for tup in materialize(p):
         c = 0
         for digit in tup:
             c = c * radix + digit
@@ -97,11 +91,9 @@ def product_energy_oracle(p: ProductSet) -> int:
     """Energy by materializing all tuples and counting pair sums directly.
 
     The tuples become distinct carry-free integer codes, so the product's
-    energy is ``energy_oracle`` of the codes.  Codes outside int64 are
-    counted pair by pair in Python, which is refused past ``_PAIR_CAP`` pairs.
+    energy is ``energy_oracle`` of the codes.  Codes spanning 2^62 or more are
+    counted in Python, which is refused past ``_PAIR_CAP`` pairs.
     """
-    if p.size > MATERIALIZE_CAP:
-        raise ValueError(f"product of size {p.size} exceeds the cap {MATERIALIZE_CAP}")
     codes = _encode(p)
     if p.size**2 > _PAIR_CAP and not _int64_safe(codes):
         raise BudgetError(p.size**2, _PAIR_CAP, "materialized pair counting")
@@ -264,16 +256,7 @@ def min_ratio_empirical(alphabet_size: int, factor_size: int, dimension: int,
         raise BudgetError(subsets, budget, "factor-spectrum enumeration")
     energies = sorted({energy_oracle(c)
                        for c in combinations(range(alphabet_size), factor_size)})
-    prods = set()
-    for combo in combinations_with_replacement(energies, dimension):
-        v = 1
-        for e in combo:
-            v *= e
-        prods.add(v)
-    ordered = tuple(sorted(prods))
-    if len(ordered) < 2:
-        return MinRatioResult(alphabet_size, factor_size, dimension,
-                              tuple(energies), ordered, None)
-    best = min(Fraction(b, a) for a, b in zip(ordered, ordered[1:]))
+    ordered = tuple(sorted({prod(c) for c in combinations_with_replacement(energies, dimension)}))
+    best = min((Fraction(b, a) for a, b in zip(ordered, ordered[1:])), default=None)
     return MinRatioResult(alphabet_size, factor_size, dimension,
                           tuple(energies), ordered, best)

@@ -69,6 +69,8 @@ def _batch_energies(rows: np.ndarray) -> np.ndarray:
 
     Sorts each row of pairwise ordered sums and turns run lengths L into
     sum(L^2) via the identity sum over positions of (2*offset_in_run + 1).
+    In int64, sums are at most 2*diameter_bound and energies at most
+    n^3 <= 12^3 = 1728.
     """
     m, n = rows.shape
     sums = (rows[:, :, None] + rows[:, None, :]).reshape(m, n * n)
@@ -94,6 +96,8 @@ def enumerate_spectrum(n: int, diameter_bound: int | None = None,
         diameter_bound = default_diameter_bound(n)
     if diameter_bound < n - 1:
         raise ValueError("diameter bound below the minimum diameter n-1")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if budget is None:
         budget = default_budget()
     visits = sum(comb(d - 1, n - 2) for d in range(n - 1, diameter_bound + 1))
@@ -101,10 +105,11 @@ def enumerate_spectrum(n: int, diameter_bound: int | None = None,
         raise BudgetError(visits, budget, f"spectrum(n={n}, diameter={diameter_bound})")
 
     diameters = list(range(n - 1, diameter_bound + 1))
-    if threads > 1:
+    workers = min(threads, len(diameters))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        chunks = [diameters[i::threads] for i in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        chunks = [diameters[i::workers] for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = pool.map(_spectrum_chunk, [(n, c) for c in chunks])
         partials = list(results)
     else:

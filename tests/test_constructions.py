@@ -199,6 +199,16 @@ def test_builder_covers_full_dense_band():
         assert res.energy == t == energy_oracle(res.witness)
 
 
+@pytest.mark.slow
+def test_builder_reaches_whole_band():
+    # every admissible target of the guaranteed band, n = 12..80
+    for n in range(12, 81):
+        lo, hi = admissible_interval(n)
+        for t in range(lo + (n - lo) % 4, hi + 1, 4):
+            res = build_with_target_energy(n, t)
+            assert res.reached and len(res.witness) == n, (n, t)
+
+
 def test_builder_unreached_outcome():
     res = build_with_target_energy(20, 1000)
     assert not res.reached

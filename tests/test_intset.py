@@ -2,8 +2,12 @@
 
 import json
 import random
+from itertools import accumulate
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addenergy import (
     DifferenceProfile,
@@ -17,6 +21,7 @@ from addenergy import (
     max_energy,
     normalize,
 )
+from addenergy import intset
 from addenergy.intset import _energy_numpy, _int64_safe
 
 
@@ -174,15 +179,74 @@ def test_numpy_and_python_paths_agree():
         assert _energy_numpy(els) == slow
 
 
-def test_int64_boundary_routes():
-    # +-(2^62 - 1) keeps every pair sum inside int64, so the numpy route
-    # counts it; moving one element to 2^62 sends the set to the Counter
-    edge = 2**62 - 1
-    inside = IntSet(list(range(40)) + [edge, -edge])
-    outside = IntSet(list(range(40)) + [2**62, -edge])
-    assert _int64_safe(inside.elements) and not _int64_safe(outside.elements)
-    for a in (inside, outside):
+def record_routes(monkeypatch):
+    """Record which counting route each energy_oracle call takes."""
+    routes = []
+    for name in ("bincount", "unique"):
+        real = getattr(np, name)
+
+        def spy(*args, _real=real, _name=name, **kwargs):
+            routes.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, spy)
+    real_numpy = intset._energy_numpy
+
+    def numpy_spy(els):
+        routes.append("numpy")
+        return real_numpy(els)
+
+    monkeypatch.setattr(intset, "_energy_numpy", numpy_spy)
+    return routes
+
+
+def test_int64_boundary_routes(monkeypatch):
+    # the route depends on the diameter only: offsets from the minimum below
+    # 2^62 keep every pair sum inside int64, wherever the set lies
+    routes = record_routes(monkeypatch)
+    cases = [
+        (IntSet(list(range(40)) + [2**62 - 1]), ["numpy", "unique"]),
+        (IntSet(list(range(40)) + [2**62]), []),
+        (IntSet(2**64 + x for x in range(40)), ["numpy", "bincount"]),
+        (IntSet(-2**70 + x for x in range(40)), ["numpy", "bincount"]),
+    ]
+    for a, want in cases:
+        routes.clear()
         assert energy_oracle(a) == energy_from_profile(difference_profile(a))
+        assert routes == want
+    assert _int64_safe(cases[0][0].elements) and not _int64_safe(cases[1][0].elements)
+
+
+def test_bincount_unique_boundary(monkeypatch):
+    # n = 32: bincount iff 2 * diameter < n^2 = 1024
+    routes = record_routes(monkeypatch)
+    for top, want in ((511, "bincount"), (512, "unique")):
+        a = IntSet(list(range(31)) + [top])
+        routes.clear()
+        assert energy_oracle(a) == energy_from_profile(difference_profile(a))
+        assert routes == ["numpy", want]
+
+
+def test_bincount_row_blocks(monkeypatch):
+    rng = random.Random(1010)
+    els = tuple(sorted(rng.sample(range(10**6, 10**6 + 400), 40)))
+    one_block = _energy_numpy(els)
+    # 1,000 sums per block: 25 rows of 40, then 15 rows
+    monkeypatch.setattr(intset, "_PAIR_BLOCK", 1000)
+    routes = record_routes(monkeypatch)
+    assert _energy_numpy(els) == one_block == energy_from_profile(difference_profile(els))
+    assert routes == ["bincount", "bincount"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(32, 100), st.integers(0, 64), st.integers(-2**80, 2**80), st.data())
+def test_oracle_routes_agree(n, k, t, data):
+    # gaps up to 2^k reach every route: bincount, np.unique, and the Counter
+    # once the diameter passes 2^62
+    a = IntSet(accumulate(data.draw(st.lists(st.integers(1, 2**k), min_size=n, max_size=n))))
+    e = energy_oracle(a)
+    assert e == energy_from_profile(difference_profile(a))
+    assert e == energy_oracle(IntSet(x + t for x in a))
 
 
 def test_energy_bounds_and_extremes():

@@ -119,6 +119,37 @@ def test_parallel_merge_is_deterministic():
     assert solo.entries == multi.entries
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+def test_non_positive_threads_rejected(threads):
+    with pytest.raises(ValueError):
+        enumerate_spectrum(4, 12, threads=threads)
+
+
+def test_threads_capped_by_diameter_count(monkeypatch):
+    # diameters 3 and 4 give two chunks, so at most two workers start
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    solo = enumerate_spectrum(4, 4, threads=1)
+    assert enumerate_spectrum(4, 4, threads=8).entries == solo.entries
+    assert started == [2]
+
+
 def test_budget_and_parameter_validation():
     with pytest.raises(BudgetError):
         enumerate_spectrum(4, 12, budget=100)
