@@ -7,19 +7,29 @@ minimizes energy at exactly 2|S|^2 - |S| in odd-order groups; the parabola
 {(x, x^2)} over a prime field realizes |S| = sqrt(|G|) exactly.  Mixing k
 Sidon factors with n-k full factors trades density against energy along the
 curve alpha ~ 1/(2 - delta), bounded by |A|^4 <= |A+A| * E(A).
+
+The profile is counted in numpy when |G| <= 2^62: each element is encoded as
+its flat mixed-radix index, pair sums are folded from per-coordinate modular
+sums (each below 2^63) into codes below |G|, and the codes are counted by
+``intset._pair_value_counts``.  Larger groups take an exact pure-Python pair
+loop.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
 import mpmath
+import numpy as np
 
-from .intset import _as_intset, energy_oracle
+from .intset import _as_intset, _pair_value_counts, energy_oracle
 
 GROUP_ENERGY_CAP = 10_000
+# at or below this order, coordinate sums and flat codes of pair sums fit int64
+_FLAT_CODE_ORDER = 2**62
 _REPORT_DPS = 100
 
 
@@ -35,10 +45,7 @@ class GroupSpec:
 
     @property
     def order(self) -> int:
-        out = 1
-        for m in self.orders:
-            out *= m
-        return out
+        return math.prod(self.orders)
 
     def add(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((a + b) % m for a, b, m in zip(x, y, self.orders))
@@ -76,10 +83,40 @@ class GroupSet:
         return cls(group, frozenset(group.elements()))
 
 
-def sum_profile(a: GroupSet) -> dict:
-    """r(x) = number of ordered pairs of A summing to x."""
+def _check_size(a: GroupSet) -> None:
     if len(a) > GROUP_ENERGY_CAP:
         raise ValueError(f"set size {len(a)} exceeds the cap {GROUP_ENERGY_CAP}")
+
+
+def _flat_profile(a: GroupSet) -> tuple[np.ndarray, np.ndarray]:
+    """Flat codes of the sums in A + A, ascending, and r(x) for each.
+
+    The code of x is its mixed-radix index, first coordinate most significant.
+    Requires group.order <= 2^62: residues are below m_c <= 2^62, so each
+    coordinate sum is below 2^63, and after folding in coordinate c the code
+    is below m_0 * ... * m_c <= order.  Each r(x) <= |A|.
+    """
+    _check_size(a)
+    orders = a.group.orders
+    cols = np.array(sorted(a.elements), dtype=np.int64).reshape(-1, len(orders)).T
+    n = cols.shape[1]
+
+    def rows(lo, hi):
+        code = np.zeros((hi - lo, n), dtype=np.int64)
+        s = np.empty_like(code)  # one buffer for every coordinate's sums
+        for x, m in zip(cols, orders):
+            np.add(x[lo:hi, None], x[None, :], out=s)
+            s %= m
+            code *= m
+            code += s
+        return code
+
+    return _pair_value_counts(n, a.group.order, rows)
+
+
+def _loop_profile(a: GroupSet) -> dict:
+    """r(x) by a pure-Python pair loop: the exact route for any order."""
+    _check_size(a)
     add = a.group.add
     els = sorted(a.elements)
     prof: dict = {}
@@ -92,9 +129,33 @@ def sum_profile(a: GroupSet) -> dict:
     return prof
 
 
+def sum_profile(a: GroupSet) -> dict:
+    """r(x) = number of ordered pairs of A summing to x.
+
+    Keys are residue vectors, tuples of Python ints.  Counted in numpy when
+    group.order <= 2^62, else by a pure-Python pair loop.
+    """
+    if a.group.order > _FLAT_CODE_ORDER:
+        return _loop_profile(a)
+    codes, r = _flat_profile(a)
+    keys = zip(*(c.tolist() for c in np.unravel_index(codes, a.group.orders)))
+    return dict(zip(keys, r.tolist()))
+
+
+def _representation_counts(a: GroupSet) -> np.ndarray:
+    """r(x) over the sums x in A + A, without building their residue vectors.
+
+    Each r(x) <= |A| <= ``GROUP_ENERGY_CAP``, so sum r^2 <= |A|^3 fits int64.
+    """
+    if a.group.order > _FLAT_CODE_ORDER:
+        return np.fromiter(_loop_profile(a).values(), dtype=np.int64)
+    return _flat_profile(a)[1]
+
+
 def group_energy(a: GroupSet) -> int:
     """E(A) under the group addition, via the representation profile."""
-    return sum(r * r for r in sum_profile(a).values())
+    r = _representation_counts(a)
+    return int(np.dot(r, r))
 
 
 def sumset(a: GroupSet) -> frozenset:
@@ -146,9 +207,7 @@ def sidon_energy(size: int) -> int:
 
 def group_product(*sets: GroupSet) -> GroupSet:
     """Direct product of group sets, with concatenated residue vectors."""
-    size = 1
-    for s in sets:
-        size *= len(s)
+    size = math.prod(len(s) for s in sets)
     if size > GROUP_ENERGY_CAP:
         raise ValueError(f"product of size {size} exceeds the cap {GROUP_ENERGY_CAP}")
     spec = GroupSpec(tuple(m for s in sets for m in s.group.orders))
@@ -164,12 +223,12 @@ def cauchy_bound_check(a: GroupSet) -> bool:
     The second inequality is the density form 4*alpha <= 1 + alpha*(2+delta)
     with alpha = log|A|/log|G| and delta = log E/log|A| - 2.
     """
-    prof = sum_profile(a)
     n = len(a)
     if n == 0:
         return True
-    e = sum(r * r for r in prof.values())
-    return n**4 <= len(prof) * e and n**4 <= a.group.order * e
+    r = _representation_counts(a)
+    e = int(np.dot(r, r))
+    return n**4 <= len(r) * e and n**4 <= a.group.order * e
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,12 @@ computes it by three mutually checking routes:
   * an incremental formula for appending one element past the maximum
     (``incremental_energy_extend``).
 
-All arithmetic is exact.  Elements are arbitrary-precision Python ints; a
-numpy fast path counts the offsets x - min(A), taken only when the diameter
-is below 2^62 so that every pair sum of offsets fits in int64.
+All arithmetic is exact.  Elements are arbitrary-precision Python ints.
+``energy_oracle`` and ``difference_profile`` each have a numpy fast path over
+the offsets x - min(A), taken only when the diameter is below 2^62 so that
+every pair sum and difference of offsets fits in int64; outside that bound
+they count in pure Python.  ``_pair_value_counts`` is the one rule both paths
+(and the group sum profile) use to count a table of pair values.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 _INT64_SAFE = 2**62
 # below this size the pure-Python Counter path wins anyway
 _NUMPY_MIN_SIZE = 32
-# most pair sums, and most bincount bins, held at once on the bincount route
+# most pair values, and most bincount bins, held at once on the bincount route
 _PAIR_BLOCK = 8_000_000
 # largest set the O(n^4) quadruple count accepts
 _QUADRUPLE_CAP = 40
@@ -140,27 +143,48 @@ def _int64_safe(elements) -> bool:
     return elements[-1] - elements[0] < _INT64_SAFE
 
 
+def _pair_value_counts(n: int, bins: int, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of an n-row pair table, ascending, and their counts.
+
+    ``rows(lo, hi)`` builds rows lo..hi-1 of the table as a new int64 array of
+    at most n values per row, each in [0, bins).  If bins < min(n^2,
+    ``_PAIR_BLOCK``), ``np.bincount`` counts the table in row blocks of at
+    most ``_PAIR_BLOCK`` values, each built inside the call that counts it and
+    freed before the next; else the whole table is sorted in place and its
+    runs are counted, so no second copy of it is made.
+    """
+    if bins < min(n * n, _PAIR_BLOCK):
+        step = max(1, _PAIR_BLOCK // n)
+        counts = np.zeros(bins, dtype=np.int64)
+        for lo in range(0, n, step):
+            counts += np.bincount(rows(lo, min(n, lo + step)).ravel(), minlength=bins)
+        values = np.flatnonzero(counts != 0)  # a bool scan is faster than an int64 one
+        return values, counts[values]
+    s = rows(0, n).ravel()
+    s.sort()
+    first = np.empty(s.size, dtype=bool)  # first[i]: s[i] starts a run
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return s[starts], np.diff(starts, append=s.size)
+
+
+def _offsets(elements: tuple[int, ...]) -> np.ndarray:
+    m = elements[0]
+    return np.array([x - m for x in elements], dtype=np.int64)
+
+
 def _energy_numpy(elements: tuple[int, ...]) -> int:
     """Sum-multiset count of the offsets x - min, for ``_int64_safe`` sets.
 
-    Offsets lie in [0, 2^62), so pair sums lie in [0, 2^63).  If 2*diameter
-    < min(n^2, ``_PAIR_BLOCK``), ``np.bincount`` counts them into 2*diameter+1
-    bins, in row blocks of at most ``_PAIR_BLOCK`` sums; else one ``np.unique``
-    does.  Each r(s) <= n, and sum r(s)^2 = E <= n^3 fits int64 for n < 2^21.
+    Offsets lie in [0, 2^62), so pair sums lie in [0, 2^63) and take at most
+    2*diameter + 1 values.  Each r(s) <= n, and sum r(s)^2 = E <= n^3 fits
+    int64 for n < 2^21.
     """
-    m = elements[0]
-    arr = np.array([x - m for x in elements], dtype=np.int64)
-    n, diameter = len(arr), elements[-1] - m
-    if 2 * diameter < min(n * n, _PAIR_BLOCK):
-        bins = 2 * diameter + 1
-        step = max(1, _PAIR_BLOCK // n)
-        counts = np.zeros(bins, dtype=np.int64)
-        for lo in range(0, n, step):  # a block built in the call dies before the next
-            counts += np.bincount((arr[lo:lo + step, None] + arr[None, :]).ravel(),
-                                  minlength=bins)
-    else:
-        _, counts = np.unique(arr[:, None] + arr[None, :], return_counts=True)
-    return int(np.dot(counts, counts))
+    arr = _offsets(elements)
+    _, r = _pair_value_counts(len(arr), 2 * (elements[-1] - elements[0]) + 1,
+                              lambda lo, hi: arr[lo:hi, None] + arr[None, :])
+    return int(np.dot(r, r))
 
 
 def energy_oracle(a) -> int:
@@ -203,10 +227,32 @@ def energy_by_quadruples(a) -> int:
     return count
 
 
+def _positive_differences(elements: tuple[int, ...]) -> dict:
+    """d+ of an ``_int64_safe`` set, counted in numpy over the offsets x - min.
+
+    Differences of offsets in [0, 2^62) lie in (-2^62, 2^62); the positive
+    ones take at most diameter values.  Keys and counts are Python ints.
+    """
+    arr = _offsets(elements)
+
+    def rows(lo, hi):
+        d = arr[None, :] - arr[lo:hi, None]
+        return d[d > 0]
+
+    values, counts = _pair_value_counts(len(arr), elements[-1] - elements[0] + 1, rows)
+    return dict(zip(values.tolist(), counts.tolist()))
+
+
 def difference_profile(a) -> DifferenceProfile:
-    """All positive pairwise differences with multiplicities."""
+    """All positive pairwise differences with multiplicities.
+
+    Sets of ``_NUMPY_MIN_SIZE`` or more elements and diameter below 2^62 are
+    counted in numpy; the rest by a pure-Python pair loop.
+    """
     s = _as_intset(a)
     els = s.elements
+    if len(els) >= _NUMPY_MIN_SIZE and _int64_safe(els):
+        return DifferenceProfile(len(els), _positive_differences(els))
     pos: Counter = Counter()
     for i, x in enumerate(els):
         for y in els[i + 1:]:

@@ -1,5 +1,6 @@
 """CLI contract: schemas, exit codes, determinism, file outputs."""
 
+import hashlib
 import io
 import json
 import subprocess
@@ -227,3 +228,45 @@ def test_threads_flag_spectrum():
     code2, multi = run_cli(["--threads", "2", "spectrum", "--n", "4", "--diameter", "14"])
     assert code == code2 == 0
     assert solo == multi
+
+
+# two blocks of 20 elements, `gap` apart: differences 1..19 within a block
+# and gap-19..gap+19 across
+_TWO_BLOCK_PROFILES = {
+    100: '{"n":40,"positive":{"1":38,"10":20,"100":20,"101":19,"102":18,"103":17,'
+         '"104":16,"105":15,"106":14,"107":13,"108":12,"109":11,"11":18,"110":10,'
+         '"111":9,"112":8,"113":7,"114":6,"115":5,"116":4,"117":3,"118":2,"119":1,'
+         '"12":16,"13":14,"14":12,"15":10,"16":8,"17":6,"18":4,"19":2,"2":36,"3":34,'
+         '"4":32,"5":30,"6":28,"7":26,"8":24,"81":1,"82":2,"83":3,"84":4,"85":5,'
+         '"86":6,"87":7,"88":8,"89":9,"9":22,"90":10,"91":11,"92":12,"93":13,'
+         '"94":14,"95":15,"96":16,"97":17,"98":18,"99":19}}\n',
+    10**6: '{"n":40,"positive":{"1":38,"10":20,"1000000":20,"1000001":19,'
+           '"1000002":18,"1000003":17,"1000004":16,"1000005":15,"1000006":14,'
+           '"1000007":13,"1000008":12,"1000009":11,"1000010":10,"1000011":9,'
+           '"1000012":8,"1000013":7,"1000014":6,"1000015":5,"1000016":4,"1000017":3,'
+           '"1000018":2,"1000019":1,"11":18,"12":16,"13":14,"14":12,"15":10,"16":8,'
+           '"17":6,"18":4,"19":2,"2":36,"3":34,"4":32,"5":30,"6":28,"7":26,"8":24,'
+           '"9":22,"999981":1,"999982":2,"999983":3,"999984":4,"999985":5,"999986":6,'
+           '"999987":7,"999988":8,"999989":9,"999990":10,"999991":11,"999992":12,'
+           '"999993":13,"999994":14,"999995":15,"999996":16,"999997":17,"999998":18,'
+           '"999999":19}}\n',
+}
+
+
+@pytest.mark.parametrize("shift", [0, 2**64])
+@pytest.mark.parametrize("gap", [100, 10**6])
+def test_profile_stdout_pinned(gap, shift):
+    # 40 elements take the numpy difference count: by bincount at gap 100,
+    # by sorting at gap 10^6; a shift leaves the profile unchanged
+    els = [shift + x for x in (*range(20), *range(gap, gap + 20))]
+    assert run_cli(["profile", "--set", ",".join(map(str, els))]) \
+        == (0, _TWO_BLOCK_PROFILES[gap])
+
+
+def test_sidon_p997_stdout_pinned():
+    code, out = run_cli(["sidon", "--p", "997", "--check"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["is_sidon"] is True and payload["energy"] == "1987021"
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == "da45896afc6b639684769a5b8b676a03ef18caecd7a133d06e28dc6b407ae388"

@@ -1,11 +1,15 @@
 """Group energies, Sidon sets, and the density-energy tradeoff."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
 import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from addenergy import (
     GroupSet,
@@ -22,6 +26,7 @@ from addenergy import (
     sumset,
     tradeoff_point,
 )
+from addenergy import groups
 
 
 def random_group_set(rng, max_factors=3, max_order=9, max_size=20):
@@ -57,6 +62,89 @@ def test_profile_identities():
         assert sum(prof.values()) == len(a) ** 2
         assert sum(r * r for r in prof.values()) == group_energy(a)
         assert set(prof) == sumset(a)
+
+
+def brute_profile(a):
+    """r(x) over every ordered pair, by the group addition."""
+    return Counter(a.group.add(x, y) for x in a.elements for y in a.elements)
+
+
+def is_int_tuple(x):
+    return type(x) is tuple and all(type(c) is int for c in x)
+
+
+@st.composite
+def group_sets(draw, orders, min_size=0, max_size=40):
+    spec = GroupSpec(tuple(draw(orders)))
+    point = st.tuples(*(st.integers(0, m - 1) for m in spec.orders))
+    return GroupSet.of(spec, draw(st.lists(point, min_size=min_size, max_size=max_size,
+                                           unique=True)))
+
+
+def check_against_pair_loop(a):
+    want = brute_profile(a)
+    prof = sum_profile(a)
+    assert prof == want
+    assert all(is_int_tuple(x) and type(r) is int for x, r in prof.items())
+    e = sum(r * r for r in want.values())
+    assert type(group_energy(a)) is int and group_energy(a) == e
+    assert sumset(a) == set(want)
+    n = len(a)
+    assert cauchy_bound_check(a) == (n**4 <= len(want) * e and n**4 <= a.group.order * e)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(group_sets(st.lists(st.sampled_from((2, 3, 4, 5, 6, 8, 9)), min_size=1, max_size=3)))
+def test_group_profiles_match_pair_loop(a):
+    # small orders, 2-torsion included; the set size decides bincount or sort
+    check_against_pair_loop(a)
+
+
+def record_group_routes(monkeypatch):
+    """Record each group profile's route: bincount, sort, or the pair loop."""
+    routes = []
+    real_bincount = np.bincount
+    real_counts = groups._pair_value_counts
+    real_loop = groups._loop_profile
+
+    def bincount_spy(*args, **kwargs):
+        routes.append("bincount")
+        return real_bincount(*args, **kwargs)
+
+    def counts_spy(*args):
+        before = len(routes)
+        out = real_counts(*args)
+        if len(routes) == before:
+            routes.append("sort")
+        return out
+
+    def loop_spy(a):
+        routes.append("loop")
+        return real_loop(a)
+
+    monkeypatch.setattr(np, "bincount", bincount_spy)
+    monkeypatch.setattr(groups, "_pair_value_counts", counts_spy)
+    monkeypatch.setattr(groups, "_loop_profile", loop_spy)
+    return routes
+
+
+@pytest.mark.parametrize("orders, min_size, route", [
+    ((7, 7, 7), 19, "bincount"),  # order 343 < 19^2
+    ((2, 4, 6), 13, "bincount"),  # 2-torsion, order 48 < 13^2
+    ((3001, 3001), 1, "sort"),  # order above _PAIR_BLOCK
+    ((2**31 + 11, 2**31 + 11), 0, "loop"),  # order above 2^62
+])
+def test_group_profile_routes(monkeypatch, orders, min_size, route):
+    routes = record_group_routes(monkeypatch)
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(group_sets(st.just(orders), min_size=min_size))
+    def check(a):
+        routes.clear()
+        check_against_pair_loop(a)
+        assert set(routes) == {route}
+
+    check()
 
 
 def test_group_spec_validation():

@@ -2,11 +2,12 @@
 
 import json
 import random
+from collections import Counter
 from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addenergy import (
@@ -180,16 +181,26 @@ def test_numpy_and_python_paths_agree():
 
 
 def record_routes(monkeypatch):
-    """Record which counting route each energy_oracle call takes."""
+    """Record which counting route each numpy count takes: every
+    ``np.bincount`` block, or one "sort" for a table counted by sorting."""
     routes = []
-    for name in ("bincount", "unique"):
-        real = getattr(np, name)
+    real_bincount = np.bincount
 
-        def spy(*args, _real=real, _name=name, **kwargs):
-            routes.append(_name)
-            return _real(*args, **kwargs)
+    def bincount_spy(*args, **kwargs):
+        routes.append("bincount")
+        return real_bincount(*args, **kwargs)
 
-        monkeypatch.setattr(np, name, spy)
+    monkeypatch.setattr(np, "bincount", bincount_spy)
+    real_counts = intset._pair_value_counts
+
+    def counts_spy(*args):
+        before = len(routes)
+        out = real_counts(*args)
+        if len(routes) == before:
+            routes.append("sort")
+        return out
+
+    monkeypatch.setattr(intset, "_pair_value_counts", counts_spy)
     real_numpy = intset._energy_numpy
 
     def numpy_spy(els):
@@ -205,25 +216,27 @@ def test_int64_boundary_routes(monkeypatch):
     # 2^62 keep every pair sum inside int64, wherever the set lies
     routes = record_routes(monkeypatch)
     cases = [
-        (IntSet(list(range(40)) + [2**62 - 1]), ["numpy", "unique"]),
+        (IntSet(list(range(40)) + [2**62 - 1]), ["numpy", "sort"]),
         (IntSet(list(range(40)) + [2**62]), []),
         (IntSet(2**64 + x for x in range(40)), ["numpy", "bincount"]),
         (IntSet(-2**70 + x for x in range(40)), ["numpy", "bincount"]),
     ]
     for a, want in cases:
+        by_profile = energy_from_profile(difference_profile(a))
         routes.clear()
-        assert energy_oracle(a) == energy_from_profile(difference_profile(a))
+        assert energy_oracle(a) == by_profile
         assert routes == want
     assert _int64_safe(cases[0][0].elements) and not _int64_safe(cases[1][0].elements)
 
 
 def test_bincount_unique_boundary(monkeypatch):
-    # n = 32: bincount iff 2 * diameter < n^2 = 1024
+    # n = 32: bincount iff 2 * diameter + 1 < n^2 = 1024, else sort
     routes = record_routes(monkeypatch)
-    for top, want in ((511, "bincount"), (512, "unique")):
+    for top, want in ((511, "bincount"), (512, "sort")):
         a = IntSet(list(range(31)) + [top])
+        by_profile = energy_from_profile(difference_profile(a))
         routes.clear()
-        assert energy_oracle(a) == energy_from_profile(difference_profile(a))
+        assert energy_oracle(a) == by_profile
         assert routes == ["numpy", want]
 
 
@@ -231,10 +244,14 @@ def test_bincount_row_blocks(monkeypatch):
     rng = random.Random(1010)
     els = tuple(sorted(rng.sample(range(10**6, 10**6 + 400), 40)))
     one_block = _energy_numpy(els)
-    # 1,000 sums per block: 25 rows of 40, then 15 rows
+    profile = difference_profile(els)
+    # 1,000 values per block: 25 rows of 40, then 15 rows
     monkeypatch.setattr(intset, "_PAIR_BLOCK", 1000)
     routes = record_routes(monkeypatch)
-    assert _energy_numpy(els) == one_block == energy_from_profile(difference_profile(els))
+    assert _energy_numpy(els) == one_block == energy_from_profile(profile)
+    assert routes == ["bincount", "bincount"]
+    routes.clear()
+    assert difference_profile(els) == profile
     assert routes == ["bincount", "bincount"]
 
 
@@ -247,6 +264,43 @@ def test_oracle_routes_agree(n, k, t, data):
     e = energy_oracle(a)
     assert e == energy_from_profile(difference_profile(a))
     assert e == energy_oracle(IntSet(x + t for x in a))
+
+
+def pair_loop_differences(els):
+    """d+ by the literal loop over pairs a1 < a2."""
+    return Counter(y - x for i, x in enumerate(els) for y in els[i + 1:])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(0, 64).flatmap(
+    lambda k: st.lists(st.integers(1, 2**k), min_size=32, max_size=100)),
+    st.integers(-2**80, 2**80))
+@example(gaps=[1] * 31 + [2**62], t=-2**80)  # diameter past 2^62: the Python loop
+def test_difference_profile_matches_pair_loop(gaps, t):
+    # gaps up to 2^k reach bincount and the sort
+    a = IntSet(x + t for x in accumulate(gaps))
+    prof = difference_profile(a)
+    assert prof.n == len(gaps) and prof.positive == pair_loop_differences(a.elements)
+    assert all(type(x) is int and type(c) is int for x, c in prof.positive.items())
+
+
+def test_difference_profile_routes(monkeypatch):
+    routes = record_routes(monkeypatch)
+    cases = [
+        (range(31), []),  # below _NUMPY_MIN_SIZE: the Python loop
+        ([2**64 + x for x in range(40)], ["bincount"]),
+        # n = 32: bincount iff diameter + 1 < n^2 = 1024
+        (list(range(31)) + [1022], ["bincount"]),
+        (list(range(31)) + [1023], ["sort"]),
+        (list(range(39)) + [2**62 - 1], ["sort"]),
+        (list(range(39)) + [2**62], []),  # diameter 2^62: the Python loop
+    ]
+    for els, want in cases:
+        routes.clear()
+        prof = difference_profile(els)
+        assert routes == want
+        assert prof.positive == pair_loop_differences(IntSet(els).elements)
+        assert all(type(x) is int and type(c) is int for x, c in prof.positive.items())
 
 
 def test_energy_bounds_and_extremes():
