@@ -11,11 +11,23 @@ computes it by three mutually checking routes:
     (``incremental_energy_extend``).
 
 All arithmetic is exact.  Elements are arbitrary-precision Python ints.
-``energy_oracle`` and ``difference_profile`` each have a numpy fast path over
-the offsets x - min(A), taken only when the diameter is below 2^62 so that
-every pair sum and difference of offsets fits in int64; outside that bound
-they count in pure Python.  ``_pair_value_counts`` is the one rule both paths
-(and the group sum profile) use to count a table of pair values.
+``energy_oracle`` counts the offsets x - min(A) by the first route that fits:
+
+  * fewer than ``_NUMPY_MIN_SIZE`` elements: a pure-Python Counter
+    (``_energy_counter``);
+  * diameter below 2^62, where every offset pair sum fits int64: numpy
+    (``_energy_numpy``), through ``_pair_value_counts``;
+  * diameter 2^62 or more: the offsets are divided by their gcd, which keeps
+    the energy, and go to numpy if that brings the diameter below 2^62; else
+    they are hashed mod 2^61 - 1 (``_energy_hashed``) while their n(n+1)/2
+    unordered pairs fit ``_PAIR_BLOCK``, and counted by the Counter past it.
+
+The hashed route is exact whatever the hash does: pairs with equal hashes are
+compared as Python ints unless their hash is provably their sum, and any two
+that differ send the set to the Counter.  Only the time depends on the hash.
+``difference_profile`` has the numpy route below 2^62 and a pure-Python pair
+loop otherwise.  ``_pair_value_counts`` is the one rule the numpy routes (and
+the group sum profile) use to count a table of pair values.
 """
 
 from __future__ import annotations
@@ -32,8 +44,13 @@ import numpy as np
 _INT64_SAFE = 2**62
 # below this size the pure-Python Counter path wins anyway
 _NUMPY_MIN_SIZE = 32
-# most pair values, and most bincount bins, held at once on the bincount route
+# most pair values, and most bincount bins, held at once on the bincount route;
+# also the most unordered pairs the hashed route sorts
 _PAIR_BLOCK = 8_000_000
+# the Mersenne prime 2^61 - 1: two residues sum below 2^62, inside int64
+_HASH_MODULUS = 2**61 - 1
+# two offsets below this bound sum below _HASH_MODULUS, so their hash is their sum
+_HASH_EXACT = 2**60
 # largest set the O(n^4) quadruple count accepts
 _QUADRUPLE_CAP = 40
 
@@ -162,11 +179,16 @@ def _pair_value_counts(n: int, bins: int, rows) -> tuple[np.ndarray, np.ndarray]
         return values, counts[values]
     s = rows(0, n).ravel()
     s.sort()
-    first = np.empty(s.size, dtype=bool)  # first[i]: s[i] starts a run
+    starts = np.flatnonzero(_first_of_run(s))
+    return s[starts], np.diff(starts, append=s.size)
+
+
+def _first_of_run(s: np.ndarray) -> np.ndarray:
+    """Bool mask over a sorted array: first[i] iff s[i] starts a run of equal values."""
+    first = np.empty(s.size, dtype=bool)
     first[:1] = True
     np.not_equal(s[1:], s[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    return s[starts], np.diff(starts, append=s.size)
+    return first
 
 
 def _offsets(elements: tuple[int, ...]) -> np.ndarray:
@@ -187,28 +209,84 @@ def _energy_numpy(elements: tuple[int, ...]) -> int:
     return int(np.dot(r, r))
 
 
+def _energy_counter(elements: tuple[int, ...]) -> int:
+    """Sum-multiset count of a sorted tuple in pure Python, for any elements."""
+    counts: Counter = Counter()
+    for i, x in enumerate(elements):
+        counts[2 * x] += 1
+        for y in elements[i + 1:]:
+            counts[x + y] += 2
+    return sum(c * c for c in counts.values())
+
+
+def _energy_hashed(offsets: tuple[int, ...]) -> int:
+    """Sum-multiset count of sorted nonnegative offsets by hashed pair sums.
+
+    Each unordered pair i <= j, of weight 2 off the diagonal and 1 on it, gets
+    the key (h_i + h_j) mod P with h = offset mod P and P = 2^61 - 1, so keys
+    and their sums of two stay inside int64; the pairs are sorted by key.
+
+    Exactness: the key is a function of the true sum, so pairs with one sum
+    share a key and lie in one run of the sorted keys.  Conversely, offsets
+    below 2^60 are a prefix, and two of them sum below P, so their key is
+    their sum; every two neighbours with equal keys where either pair uses a
+    larger offset are compared as Python ints.  If all agree, each run is
+    exactly one sum and E = sum of (weighted run sum)^2, an int64 because
+    E <= n^3; any mismatch sends the offsets to ``_energy_counter``.  The
+    answer never depends on the hash, only the time does.
+
+    Peak memory is about 35 bytes per unordered pair: 280 MB at n = 3,999,
+    the largest set within ``_PAIR_BLOCK`` (``tracemalloc``, random offsets).
+    """
+    n = len(offsets)
+    h = np.array([x % _HASH_MODULUS for x in offsets], dtype=np.int64)
+    i, j = (t.astype(np.int32) for t in np.triu_indices(n))
+    key = h[i]
+    key += h[j]
+    np.subtract(key, _HASH_MODULUS, out=key, where=key >= _HASH_MODULUS)
+    order = np.argsort(key)
+    first = _first_of_run(key[order])
+    i, j = i[order], j[order]
+    del key, order  # the sorted run mask and pairs are all that is read below
+    wide = j >= bisect_left(offsets, _HASH_EXACT)  # j >= i: j holds the larger offset
+    k = np.flatnonzero(~first[1:] & (wide[:-1] | wide[1:]))
+    if k.size:
+        o = np.array(offsets, dtype=object)
+        if not np.array_equal(o[i[k]] + o[j[k]], o[i[k + 1]] + o[j[k + 1]]):
+            return _energy_counter(offsets)
+    weight = 2 - (i == j).view(np.int8)
+    r = np.add.reduceat(weight, np.flatnonzero(first), dtype=np.int64)
+    return int(np.dot(r, r))
+
+
 def energy_oracle(a) -> int:
     """Additive energy by direct counting over the sum multiset.
 
     For each attainable sum s the number r(s) of ordered pairs summing to s
     is counted; the energy is sum r(s)^2.  This is the reference method every
-    other energy route is checked against.  Sets of ``_NUMPY_MIN_SIZE`` or
-    more elements and diameter below 2^62 go to ``_energy_numpy``; the rest
-    to a Counter.
+    other energy route is checked against.  Sets of fewer than
+    ``_NUMPY_MIN_SIZE`` elements go to ``_energy_counter``, the rest with
+    diameter below 2^62 to ``_energy_numpy``.  Past 2^62 the offsets x - min
+    are divided by their gcd, which keeps the energy; they go to
+    ``_energy_numpy`` if that brings the diameter below 2^62, else to
+    ``_energy_hashed`` while their n(n+1)/2 unordered pairs fit
+    ``_PAIR_BLOCK``, else to ``_energy_counter``.  Every route is exact.
     """
-    s = _as_intset(a)
-    els = s.elements
+    els = _as_intset(a).elements
     n = len(els)
-    if n == 0:
-        return 0
-    if n >= _NUMPY_MIN_SIZE and _int64_safe(els):
+    if n < _NUMPY_MIN_SIZE:
+        return _energy_counter(els)
+    if _int64_safe(els):
         return _energy_numpy(els)
-    counts: Counter = Counter()
-    for i, x in enumerate(els):
-        counts[2 * x] += 1
-        for y in els[i + 1:]:
-            counts[x + y] += 2
-    return sum(c * c for c in counts.values())
+    m = els[0]
+    offsets = [x - m for x in els]
+    g = gcd(*offsets)
+    offsets = tuple(x // g for x in offsets) if g > 1 else tuple(offsets)
+    if offsets[-1] < _INT64_SAFE:
+        return _energy_numpy(offsets)
+    if n * (n + 1) // 2 > _PAIR_BLOCK:
+        return _energy_counter(offsets)
+    return _energy_hashed(offsets)
 
 
 def energy_by_quadruples(a) -> int:

@@ -92,7 +92,9 @@ def product_energy_oracle(p: ProductSet) -> int:
 
     The tuples become distinct carry-free integer codes, so the product's
     energy is ``energy_oracle`` of the codes.  Codes spanning 2^62 or more are
-    counted in Python, which is refused past ``_PAIR_CAP`` pairs.
+    counted by hashed pair sums while their unordered pairs fit
+    ``intset._PAIR_BLOCK``, and by the pure-Python Counter past it; that
+    Counter is refused past ``_PAIR_CAP`` ordered pairs.
     """
     codes = _encode(p)
     if p.size**2 > _PAIR_CAP and not _int64_safe(codes):

@@ -270,3 +270,14 @@ def test_sidon_p997_stdout_pinned():
     assert payload["is_sidon"] is True and payload["energy"] == "1987021"
     assert hashlib.sha256(out.encode()).hexdigest() \
         == "da45896afc6b639684769a5b8b676a03ef18caecd7a133d06e28dc6b407ae388"
+
+
+def test_construct_n400_stdout_pinned():
+    # a 400-element witness with a tail of over 1,000 bits: its self-check
+    # counts past 2^62, and the output must not depend on how
+    code, out = run_cli(["construct", "--n", "400", "--target", "673296"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified"] is True and len(payload["witness"]) == 400
+    assert hashlib.sha256(out.encode()).hexdigest() \
+        == "9f5699e80d53c56e0b4fcb7677d5679fc9a3260892e88ee275a59e3790d95be6"

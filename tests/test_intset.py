@@ -22,8 +22,8 @@ from addenergy import (
     max_energy,
     normalize,
 )
-from addenergy import intset
-from addenergy.intset import _energy_numpy, _int64_safe
+from addenergy import constructions, intset
+from addenergy.intset import _HASH_MODULUS, _energy_counter, _energy_numpy, _int64_safe
 
 
 def incremental_rebuild(a):
@@ -181,8 +181,10 @@ def test_numpy_and_python_paths_agree():
 
 
 def record_routes(monkeypatch):
-    """Record which counting route each numpy count takes: every
-    ``np.bincount`` block, or one "sort" for a table counted by sorting."""
+    """Record every counting route a count takes: "counter" and "hashed" for
+    ``_energy_counter`` and ``_energy_hashed``, "numpy" for ``_energy_numpy``,
+    then each ``np.bincount`` block, or one "sort" for a table counted by
+    sorting."""
     routes = []
     real_bincount = np.bincount
 
@@ -208,25 +210,40 @@ def record_routes(monkeypatch):
         return real_numpy(els)
 
     monkeypatch.setattr(intset, "_energy_numpy", numpy_spy)
+    for name, label in (("_energy_counter", "counter"), ("_energy_hashed", "hashed")):
+        def spy(els, real=getattr(intset, name), label=label):
+            routes.append(label)
+            return real(els)
+
+        monkeypatch.setattr(intset, name, spy)
     return routes
 
 
 def test_int64_boundary_routes(monkeypatch):
-    # the route depends on the diameter only: offsets from the minimum below
-    # 2^62 keep every pair sum inside int64, wherever the set lies
+    # the route depends on the size and the diameter only: offsets from the
+    # minimum below 2^62 keep every pair sum inside int64, wherever the set
+    # lies; past 2^62 the offsets are divided by their gcd, then hashed
     routes = record_routes(monkeypatch)
     cases = [
+        (IntSet(range(31)), ["counter"]),
         (IntSet(list(range(40)) + [2**62 - 1]), ["numpy", "sort"]),
-        (IntSet(list(range(40)) + [2**62]), []),
+        # 2^62 = 2P + 2 hashes like 2, so (0, 2^62) meets (1, 1): the Counter
+        (IntSet(list(range(40)) + [2**62]), ["hashed", "counter"]),
+        (IntSet(list(range(40)) + [2**62 + 2**40]), ["hashed"]),
         (IntSet(2**64 + x for x in range(40)), ["numpy", "bincount"]),
         (IntSet(-2**70 + x for x in range(40)), ["numpy", "bincount"]),
+        # gcd 2^70: the reduced diameter is 39
+        (IntSet(2**70 * i for i in range(40)), ["numpy", "bincount"]),
+        (IntSet(2**70 * i + 3 for i in range(40)), ["numpy", "bincount"]),
+        # gcd 2: the reduced diameter 2^62 + 2^40 still needs the hashed route
+        (IntSet([2 * i for i in range(40)] + [2**63 + 2**41]), ["hashed"]),
     ]
     for a, want in cases:
         by_profile = energy_from_profile(difference_profile(a))
         routes.clear()
         assert energy_oracle(a) == by_profile
         assert routes == want
-    assert _int64_safe(cases[0][0].elements) and not _int64_safe(cases[1][0].elements)
+    assert _int64_safe(cases[1][0].elements) and not _int64_safe(cases[2][0].elements)
 
 
 def test_bincount_unique_boundary(monkeypatch):
@@ -258,12 +275,102 @@ def test_bincount_row_blocks(monkeypatch):
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(st.integers(32, 100), st.integers(0, 64), st.integers(-2**80, 2**80), st.data())
 def test_oracle_routes_agree(n, k, t, data):
-    # gaps up to 2^k reach every route: bincount, np.unique, and the Counter
-    # once the diameter passes 2^62
+    # gaps up to 2^k reach every route: bincount, the sort, and the hashed
+    # route once the diameter passes 2^62
     a = IntSet(accumulate(data.draw(st.lists(st.integers(1, 2**k), min_size=n, max_size=n))))
     e = energy_oracle(a)
     assert e == energy_from_profile(difference_profile(a))
     assert e == energy_oracle(IntSet(x + t for x in a))
+
+
+# ---------------------------------------------------------------------------
+# the hashed route past 2^62
+# ---------------------------------------------------------------------------
+
+# gaps that make hashes collide: a multiple of P repeats residues, and an
+# offset just past 2^60 wraps its pair sums, or twice itself, past P
+COLLIDING_GAPS = st.sampled_from([_HASH_MODULUS, 2 * _HASH_MODULUS, 2**60, 2**60 + 1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.integers(0, 400).flatmap(
+    lambda k: st.lists(st.integers(1, 2**k), min_size=32, max_size=120)),
+    st.none() | st.tuples(st.integers(0, 119), COLLIDING_GAPS),
+    st.integers(-2**1100, 2**1100))
+@example(gaps=[1] * 31 + [2**62], collide=None, t=0)
+@example(gaps=[1] * 40 + [2**62], collide=(31, _HASH_MODULUS), t=-2**1100)
+def test_hashed_route_matches_counter(gaps, collide, t):
+    # every set is exact, whether its hashes collide or not
+    if collide is not None:
+        gaps[collide[0] % len(gaps)] = collide[1]
+    a = IntSet(x + t for x in accumulate(gaps))
+    assert energy_oracle(a) == _energy_counter(a.elements)
+
+
+COLLISION_SETS = [
+    # (0, P + 5) hashes like (0, 5), (1, 4), (2, 3)
+    list(range(32)) + [_HASH_MODULUS + 5],
+    # 2^61 + 5 and 2^61 + 9 hash like 6 and 10, 2^62 + 7 like 9
+    list(range(40)) + [2**61 + 5, 2**61 + 9, 2**62 + 7],
+    # 2 (2^60 + 3) = P + 7: a pair of offsets below 2^61 can wrap past P,
+    # while 2^62 + 2^40 collides with nothing
+    list(range(40)) + [2**60 + 3, 2**62 + 2**40],
+]
+
+
+@pytest.mark.parametrize("els", COLLISION_SETS)
+def test_hash_collisions_fall_back_to_counter(els, monkeypatch):
+    els = tuple(els)
+    want = _energy_counter(els)
+    assert energy_from_profile(difference_profile(els)) == want
+    routes = record_routes(monkeypatch)
+    # the first set spans less than 2^62, so energy_oracle counts it in
+    # numpy; the hashed route is exact on any offsets, so call it directly
+    got = intset._energy_hashed(els) if _int64_safe(els) else energy_oracle(els)
+    assert got == want
+    assert routes == ["hashed", "counter"]
+
+
+def band_targets(n):
+    """Three targets of the builder's guaranteed band: its ends and middle."""
+    lo, hi = constructions.admissible_interval(n)
+    first = lo + (n - lo) % 4
+    steps = (hi - first) // 4
+    return [first, first + 4 * (steps // 2), first + 4 * steps]
+
+
+def check_builder_witnesses(sizes, monkeypatch):
+    routes = record_routes(monkeypatch)
+    for n in sizes:
+        for t in band_targets(n):
+            w = constructions.build_with_target_energy(n, t).witness
+            routes.clear()
+            assert energy_oracle(w) == t
+            assert routes == ["hashed"]
+            assert _energy_counter(w.elements) == t
+
+
+def test_builder_witnesses_match_counter(monkeypatch):
+    # the witnesses' lacunary tails put every one past 2^62
+    check_builder_witnesses([32, 33, 47, 64, 97, 128, 160, 200, 256, 300, 352, 400, 479, 480],
+                            monkeypatch)
+
+
+@pytest.mark.slow
+def test_builder_witnesses_match_counter_all_sizes(monkeypatch):
+    check_builder_witnesses(range(32, 481), monkeypatch)
+
+
+def test_pair_block_caps_hashed_route(monkeypatch):
+    # 40 elements have 820 unordered pairs; past _PAIR_BLOCK the Counter counts
+    a = IntSet([5**i for i in range(40)])
+    want = energy_from_profile(difference_profile(a))
+    routes = record_routes(monkeypatch)
+    for block, route in ((820, "hashed"), (819, "counter")):
+        monkeypatch.setattr(intset, "_PAIR_BLOCK", block)
+        routes.clear()
+        assert energy_oracle(a) == want
+        assert routes == [route]
 
 
 def pair_loop_differences(els):
