@@ -17,10 +17,9 @@ All arithmetic is exact.  Elements are arbitrary-precision Python ints.
     (``_energy_counter``);
   * diameter below 2^62, where every offset pair sum fits int64: numpy
     (``_energy_numpy``), through ``_pair_value_counts``;
-  * diameter 2^62 or more: the offsets are divided by their gcd, which keeps
-    the energy, and go to numpy if that brings the diameter below 2^62; else
-    they are hashed mod 2^61 - 1 (``_energy_hashed``) while their n(n+1)/2
-    unordered pairs fit ``_PAIR_BLOCK``, and counted by the Counter past it.
+  * diameter 2^62 or more: the offsets are hashed mod 2^61 - 1
+    (``_energy_hashed``) while their n(n+1)/2 unordered pairs fit
+    ``_PAIR_BLOCK``, and counted by the Counter past it.
 
 The hashed route is exact whatever the hash does: pairs with equal hashes are
 compared as Python ints unless their hash is provably their sum, and any two
@@ -230,13 +229,16 @@ def _energy_hashed(offsets: tuple[int, ...]) -> int:
     share a key and lie in one run of the sorted keys.  Conversely, offsets
     below 2^60 are a prefix, and two of them sum below P, so their key is
     their sum; every two neighbours with equal keys where either pair uses a
-    larger offset are compared as Python ints.  If all agree, each run is
-    exactly one sum and E = sum of (weighted run sum)^2, an int64 because
-    E <= n^3; any mismatch sends the offsets to ``_energy_counter``.  The
-    answer never depends on the hash, only the time does.
+    larger offset are compared as Python ints, ``_PAIR_BLOCK // n`` at a
+    time.  If all agree, each run is exactly one sum and E = sum of (weighted
+    run sum)^2, an int64 because E <= n^3; the first block with a mismatch
+    sends the offsets to ``_energy_counter``.  The answer never depends on
+    the hash, only the time does.
 
-    Peak memory is about 35 bytes per unordered pair: 280 MB at n = 3,999,
-    the largest set within ``_PAIR_BLOCK`` (``tracemalloc``, random offsets).
+    Peak memory is about 35 bytes per unordered pair, whether few neighbours
+    are compared (random offsets) or nearly all (an arithmetic progression of
+    wide step): 280 MB at n = 3,999, the largest set within ``_PAIR_BLOCK``
+    (``tracemalloc``).
     """
     n = len(offsets)
     h = np.array([x % _HASH_MODULUS for x in offsets], dtype=np.int64)
@@ -249,11 +251,14 @@ def _energy_hashed(offsets: tuple[int, ...]) -> int:
     i, j = i[order], j[order]
     del key, order  # the sorted run mask and pairs are all that is read below
     wide = j >= bisect_left(offsets, _HASH_EXACT)  # j >= i: j holds the larger offset
-    k = np.flatnonzero(~first[1:] & (wide[:-1] | wide[1:]))
-    if k.size:
-        o = np.array(offsets, dtype=object)
+    check = ~first[1:] & (wide[:-1] | wide[1:])
+    o = np.array(offsets, dtype=object)
+    step = _PAIR_BLOCK // n
+    for lo in range(0, check.size, step):
+        k = lo + np.flatnonzero(check[lo:lo + step])
         if not np.array_equal(o[i[k]] + o[j[k]], o[i[k + 1]] + o[j[k + 1]]):
             return _energy_counter(offsets)
+    del check, wide  # 2 bytes per pair off the peak of the count below
     weight = 2 - (i == j).view(np.int8)
     r = np.add.reduceat(weight, np.flatnonzero(first), dtype=np.int64)
     return int(np.dot(r, r))
@@ -267,9 +272,7 @@ def energy_oracle(a) -> int:
     other energy route is checked against.  Sets of fewer than
     ``_NUMPY_MIN_SIZE`` elements go to ``_energy_counter``, the rest with
     diameter below 2^62 to ``_energy_numpy``.  Past 2^62 the offsets x - min
-    are divided by their gcd, which keeps the energy; they go to
-    ``_energy_numpy`` if that brings the diameter below 2^62, else to
-    ``_energy_hashed`` while their n(n+1)/2 unordered pairs fit
+    go to ``_energy_hashed`` while their n(n+1)/2 unordered pairs fit
     ``_PAIR_BLOCK``, else to ``_energy_counter``.  Every route is exact.
     """
     els = _as_intset(a).elements
@@ -278,15 +281,10 @@ def energy_oracle(a) -> int:
         return _energy_counter(els)
     if _int64_safe(els):
         return _energy_numpy(els)
-    m = els[0]
-    offsets = [x - m for x in els]
-    g = gcd(*offsets)
-    offsets = tuple(x // g for x in offsets) if g > 1 else tuple(offsets)
-    if offsets[-1] < _INT64_SAFE:
-        return _energy_numpy(offsets)
     if n * (n + 1) // 2 > _PAIR_BLOCK:
-        return _energy_counter(offsets)
-    return _energy_hashed(offsets)
+        return _energy_counter(els)
+    m = els[0]
+    return _energy_hashed(tuple(x - m for x in els))
 
 
 def energy_by_quadruples(a) -> int:

@@ -222,7 +222,7 @@ def record_routes(monkeypatch):
 def test_int64_boundary_routes(monkeypatch):
     # the route depends on the size and the diameter only: offsets from the
     # minimum below 2^62 keep every pair sum inside int64, wherever the set
-    # lies; past 2^62 the offsets are divided by their gcd, then hashed
+    # lies; past 2^62 they are hashed
     routes = record_routes(monkeypatch)
     cases = [
         (IntSet(range(31)), ["counter"]),
@@ -232,10 +232,9 @@ def test_int64_boundary_routes(monkeypatch):
         (IntSet(list(range(40)) + [2**62 + 2**40]), ["hashed"]),
         (IntSet(2**64 + x for x in range(40)), ["numpy", "bincount"]),
         (IntSet(-2**70 + x for x in range(40)), ["numpy", "bincount"]),
-        # gcd 2^70: the reduced diameter is 39
-        (IntSet(2**70 * i for i in range(40)), ["numpy", "bincount"]),
-        (IntSet(2**70 * i + 3 for i in range(40)), ["numpy", "bincount"]),
-        # gcd 2: the reduced diameter 2^62 + 2^40 still needs the hashed route
+        # a progression of step 2^70: nearly every neighbour is compared
+        (IntSet(2**70 * i for i in range(40)), ["hashed"]),
+        (IntSet(2**70 * i + 3 for i in range(40)), ["hashed"]),
         (IntSet([2 * i for i in range(40)] + [2**63 + 2**41]), ["hashed"]),
     ]
     for a, want in cases:
@@ -371,6 +370,28 @@ def test_pair_block_caps_hashed_route(monkeypatch):
         routes.clear()
         assert energy_oracle(a) == want
         assert routes == [route]
+
+
+@pytest.mark.parametrize("els, route", [
+    # the two wide offsets hash like 2^59 and 3 * 2^59 + 77, so their pair
+    # hashes like (39, 39): the one neighbour compared is sorted pair 819
+    (list(range(40)) + [2 * _HASH_MODULUS + 2**59, 2 * _HASH_MODULUS + 3 * 2**59 + 77],
+     ["hashed", "counter"]),
+    ([2**70 * i for i in range(42)], ["hashed"]),
+])
+def test_neighbour_check_in_slices(els, route, monkeypatch):
+    # 42 elements have 903 unordered pairs; blocks of 924 to 2,520 compare
+    # 22 to 60 neighbours at a time, so neighbour 819 lies past the first
+    # slice, and at step 41 it is the last of one; a set without a mismatch
+    # is compared across every slice
+    a = IntSet(els)
+    want = _energy_counter(a.elements)
+    routes = record_routes(monkeypatch)
+    for step in range(22, 61):
+        monkeypatch.setattr(intset, "_PAIR_BLOCK", 42 * step)
+        routes.clear()
+        assert energy_oracle(a) == want
+        assert routes == route
 
 
 def pair_loop_differences(els):
