@@ -86,11 +86,11 @@ def _cmd_spectrum(args, out) -> int:
     if args.plot:
         _write_gap_svg(s, args.plot)
     if args.format == "csv":
-        gaps = {g.from_energy: g.gap for g in spectrum.spectrum_gaps(s)}
         out.write("energy,witness,gap_to_next\n")
-        for e, w in s.entries:
-            gap = gaps.get(e)
-            out.write(f"{e},{' '.join(w.to_json())},{'' if gap is None else gap}\n")
+        for entry in s.to_json()["entries"]:
+            gap = entry["gap_to_next"]
+            out.write(f"{entry['energy']},{' '.join(entry['witness'])},"
+                      f"{'' if gap is None else gap}\n")
     else:
         _emit(s.to_json(), out)
     return EXIT_OK

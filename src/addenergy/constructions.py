@@ -71,12 +71,8 @@ class LacunarySeq:
     def __post_init__(self):
         if self.ratio < LACUNARY_RATIO_MIN:
             raise ValueError(f"ratio must be >= {LACUNARY_RATIO_MIN}")
-        els = self.elements.elements
-        if els and els[0] <= 0:
-            raise ValueError("lacunary sequences must be positive")
-        for a, b in zip(els, els[1:]):
-            if b < self.ratio * a:
-                raise ValueError("consecutive ratio below the lacunary bound")
+        if not is_lacunary(self.elements, self.ratio):
+            raise ValueError(f"not a positive sequence with consecutive ratios >= {self.ratio}")
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -291,8 +287,8 @@ def build_with_target_energy(n: int, target: int, base: int = 10) -> BuildResult
         j, k, swaps = hit
         achieved = target
     else:
-        if best is None:  # below every stage; floor precondition prevents this
-            raise ValueError(f"target {target} is below the construction range")
+        if best is None:  # stage n-1 has coarse energy 2n^2 - n, the floor
+            raise RuntimeError(f"no stage reaches below target {target} at n={n}")
         achieved, j, k, swaps = best
 
     ss = staged_set(n, j, k, base)

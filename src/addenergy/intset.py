@@ -14,7 +14,8 @@ All arithmetic is exact.  Elements are arbitrary-precision Python ints.
 ``energy_oracle`` counts the offsets x - min(A) by the first route that fits:
 
   * fewer than ``_NUMPY_MIN_SIZE`` elements: a pure-Python Counter
-    (``_energy_counter``);
+    (``_energy_counter``) of the unordered pair sums u(s), x < y, over
+    ``itertools.combinations``; then E = 4 * sum u(s)^2 + 4 * sum u(2x) + n;
   * diameter below 2^62, where every offset pair sum fits int64: numpy
     (``_energy_numpy``), through ``_pair_value_counts``;
   * diameter 2^62 or more: the offsets are hashed mod 2^61 - 1
@@ -24,9 +25,10 @@ All arithmetic is exact.  Elements are arbitrary-precision Python ints.
 The hashed route is exact whatever the hash does: pairs with equal hashes are
 compared as Python ints unless their hash is provably their sum, and any two
 that differ send the set to the Counter.  Only the time depends on the hash.
-``difference_profile`` has the numpy route below 2^62 and a pure-Python pair
-loop otherwise.  ``_pair_value_counts`` is the one rule the numpy routes (and
-the group sum profile) use to count a table of pair values.
+``difference_profile`` has the numpy route below 2^62 and a Counter of the
+differences y - x over ``combinations`` otherwise.  ``_pair_value_counts`` is
+the one rule the numpy routes (and the group sum profile) use to count a table
+of pair values.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd
 from typing import Iterable, Iterator, Mapping
 
@@ -209,13 +212,17 @@ def _energy_numpy(elements: tuple[int, ...]) -> int:
 
 
 def _energy_counter(elements: tuple[int, ...]) -> int:
-    """Sum-multiset count of a sorted tuple in pure Python, for any elements."""
-    counts: Counter = Counter()
-    for i, x in enumerate(elements):
-        counts[2 * x] += 1
-        for y in elements[i + 1:]:
-            counts[x + y] += 2
-    return sum(c * c for c in counts.values())
+    """Sum-multiset count of a tuple of distinct ints in pure Python, any size.
+
+    u(s) counts the pairs x < y with x + y = s.  The elements are distinct, so
+    each double 2x is hit by exactly one ordered pair, (x, x), and
+    r(s) = 2u(s) + [s/2 in A].  Squaring and summing gives
+    E = 4 * sum_s u(s)^2 + 4 * sum_{x in A} u(2x) + n; for {0, 1, 2},
+    12 + 4 + 3 = 19.
+    """
+    u = Counter(x + y for x, y in combinations(elements, 2))
+    return (4 * sum(c * c for c in u.values()) + 4 * sum(u[2 * x] for x in elements)
+            + len(elements))
 
 
 def _energy_hashed(offsets: tuple[int, ...]) -> int:
@@ -323,17 +330,13 @@ def difference_profile(a) -> DifferenceProfile:
     """All positive pairwise differences with multiplicities.
 
     Sets of ``_NUMPY_MIN_SIZE`` or more elements and diameter below 2^62 are
-    counted in numpy; the rest by a pure-Python pair loop.
+    counted in numpy; the rest by a Counter over the pairs x < y.
     """
     s = _as_intset(a)
     els = s.elements
     if len(els) >= _NUMPY_MIN_SIZE and _int64_safe(els):
         return DifferenceProfile(len(els), _positive_differences(els))
-    pos: Counter = Counter()
-    for i, x in enumerate(els):
-        for y in els[i + 1:]:
-            pos[y - x] += 1
-    return DifferenceProfile(len(els), dict(pos))
+    return DifferenceProfile(len(els), dict(Counter(y - x for x, y in combinations(els, 2))))
 
 
 def energy_from_profile(p: DifferenceProfile) -> int:

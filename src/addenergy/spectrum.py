@@ -1,10 +1,11 @@
 """Exhaustive enumeration of attainable energies at fixed set size.
 
-Energies are affine-invariant, so only normalized sets are visited: minimum
-0, gcd of all differences 1, and of each set and its reflection only the
-lexicographically smaller one.  The search is bounded by a maximum diameter;
-the ``complete`` flag refers to the searched region only, since a set whose
-normalized diameter exceeds the bound is never visited.
+Energies are affine-invariant, so only sets of minimum 0 are visited, and of
+each set and its reflection only the lexicographically smaller one.  A set
+of gcd g > 1 is never recorded: its quotient by g, also visited, has the
+same energy and is lexicographically smaller.  The search is bounded by a
+maximum diameter; the ``complete`` flag refers to the searched region only,
+since a set whose normalized diameter exceeds the bound is never visited.
 
 Each energy gets its lexicographically smallest witness: one ``np.unique``
 picks it per block of candidate rows, and merges keep the smaller witness.
@@ -84,11 +85,10 @@ def _batch_energies(rows: np.ndarray) -> np.ndarray:
 
 def enumerate_spectrum(n: int, diameter_bound: int | None = None,
                        budget: int | None = None, threads: int = 1) -> EnergySpectrum:
-    """Visit every normalized n-element set with diameter <= diameter_bound.
-
-    Each affine orbit is visited once; distinct energies are recorded with
-    their lexicographically smallest witness, so any partition of the work
-    yields identical output.
+    """Each energy of an n-element set {0, ..., d}, d <= diameter_bound, with
+    its lexicographically smallest witness, which is normalized; any partition
+    of the work yields identical output.  The budget counts all
+    comb(diameter_bound, n - 1) such sets, the sum over d by the hockey stick.
     """
     if not 2 <= n <= MAX_SPECTRUM_SIZE:
         raise ValueError(f"spectrum enumeration supports 2 <= n <= {MAX_SPECTRUM_SIZE}")
@@ -100,7 +100,7 @@ def enumerate_spectrum(n: int, diameter_bound: int | None = None,
         raise ValueError(f"threads must be at least 1, got {threads}")
     if budget is None:
         budget = default_budget()
-    visits = sum(comb(d - 1, n - 2) for d in range(n - 1, diameter_bound + 1))
+    visits = comb(diameter_bound, n - 1)
     if visits > budget:
         raise BudgetError(visits, budget, f"spectrum(n={n}, diameter={diameter_bound})")
 
@@ -129,8 +129,8 @@ def _keep_min(found: dict[int, tuple[int, ...]], pairs) -> None:
 
 
 def _spectrum_chunk(args: tuple[int, list[int]]) -> dict[int, tuple[int, ...]]:
-    """Energies of canonical normalized sets {0, ..., d}, d in diameters,
-    with lex-min witnesses.  ``combinations`` yields rows in lex order and the
+    """Energies of sets {0, ..., d} <= their mirror, d in diameters, with
+    lex-min witnesses.  ``combinations`` yields rows in lex order and the
     mask keeps it, so ``np.unique``'s first index is the block's lex-min row.
     """
     n, diameters = args
@@ -141,12 +141,10 @@ def _spectrum_chunk(args: tuple[int, list[int]]) -> dict[int, tuple[int, ...]]:
             rows = np.zeros((len(block), n), dtype=np.int64)
             rows[:, 1:-1] = block
             rows[:, -1] = d
-            # keep gcd-1 rows that are lexicographically <= their mirror
+            # keep rows that are lexicographically <= their mirror
             diff = rows - (d - rows[:, ::-1])
             first = np.argmax(diff != 0, axis=1)
-            keep = ((np.gcd.reduce(rows, axis=1) == 1)
-                    & (diff[np.arange(len(rows)), first] <= 0))
-            rows = rows[keep]
+            rows = rows[diff[np.arange(len(rows)), first] <= 0]
             energies, index = np.unique(_batch_energies(rows), return_index=True)
             _keep_min(found, zip(energies.tolist(), map(tuple, rows[index].tolist())))
     return found

@@ -23,6 +23,7 @@ from addenergy import (
     staged_set,
     tail_contribution,
 )
+from addenergy import constructions
 
 
 def random_lacunary(rng, size, ratio_hi=15):
@@ -233,6 +234,22 @@ def test_builder_preconditions():
         build_with_target_energy(20, 776)  # below the minimum 780
     with pytest.raises(ValueError):
         build_with_target_energy(20, max_energy(20))  # progression case excluded
+
+
+def test_last_stage_is_the_floor():
+    # stage n-1 (one body element, no shift) has the minimum energy 2n^2 - n,
+    # so every target at or above the floor has a stage at or below it
+    for n in range(12, 201):
+        assert staged_energy(n, n - 1, 0) == 2 * n * n - n
+        assert constructions._best_at_stage(n, n - 1, 2 * n * n - n) == (2 * n * n - n, 0)
+
+
+def test_no_stage_below_target_is_internal(monkeypatch):
+    # the floor makes this unreachable; if a stage table ever broke it, the
+    # builder must raise an internal error, not a user error
+    monkeypatch.setattr(constructions, "_best_at_stage", lambda n, j, target: None)
+    with pytest.raises(RuntimeError):
+        build_with_target_energy(20, 848)
 
 
 def test_builder_custom_base():

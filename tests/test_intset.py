@@ -283,6 +283,41 @@ def test_oracle_routes_agree(n, k, t, data):
 
 
 # ---------------------------------------------------------------------------
+# the pure-Python Counter, the reference of the routes below
+# ---------------------------------------------------------------------------
+
+def literal_sum_energy(els):
+    """sum r(s)^2 with r(s) counted over all ordered pairs, literally."""
+    r = Counter(x + y for x in els for y in els)
+    return sum(c * c for c in r.values())
+
+
+REFERENCE_SETS = st.one_of(
+    # dense around 0: negatives, and many x with 2x = y + z
+    st.lists(st.integers(-40, 40), max_size=60, unique=True),
+    st.lists(st.integers(-2**70, 2**70), max_size=60, unique=True),
+    st.builds(lambda a, step, n: [a + step * i for i in range(n)],
+              st.integers(-2**70, 2**70), st.integers(1, 2**70), st.integers(0, 60)),
+    # a three-term progression x - k, x, x + k inside a sparse set
+    st.builds(lambda xs, x, k: xs + [x - k, x, x + k],
+              st.lists(st.integers(-10**6, 10**6), max_size=57, unique=True),
+              st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(REFERENCE_SETS, st.sampled_from([0, 2**300, -2**300]))
+@example(els=[0, 1, 2], shift=0)
+@example(els=[], shift=0)
+def test_energy_counter_matches_literal_sum_count(els, shift):
+    a = tuple(sorted({x + shift for x in els}))
+    e = _energy_counter(a)
+    assert e == literal_sum_energy(a)
+    if len(a) <= 12:
+        assert e == energy_by_quadruples(a)
+
+
+# ---------------------------------------------------------------------------
 # the hashed route past 2^62
 # ---------------------------------------------------------------------------
 
@@ -403,7 +438,8 @@ def pair_loop_differences(els):
 @given(st.integers(0, 64).flatmap(
     lambda k: st.lists(st.integers(1, 2**k), min_size=32, max_size=100)),
     st.integers(-2**80, 2**80))
-@example(gaps=[1] * 31 + [2**62], t=-2**80)  # diameter past 2^62: the Python loop
+@example(gaps=[1] * 31 + [2**62], t=-2**80)  # diameter past 2^62: the Python branch
+@example(gaps=[3, 1, 1, 2, 7], t=-4)  # below _NUMPY_MIN_SIZE: the Python branch
 def test_difference_profile_matches_pair_loop(gaps, t):
     # gaps up to 2^k reach bincount and the sort
     a = IntSet(x + t for x in accumulate(gaps))
@@ -415,13 +451,13 @@ def test_difference_profile_matches_pair_loop(gaps, t):
 def test_difference_profile_routes(monkeypatch):
     routes = record_routes(monkeypatch)
     cases = [
-        (range(31), []),  # below _NUMPY_MIN_SIZE: the Python loop
+        (range(31), []),  # below _NUMPY_MIN_SIZE: the Python branch
         ([2**64 + x for x in range(40)], ["bincount"]),
         # n = 32: bincount iff diameter + 1 < n^2 = 1024
         (list(range(31)) + [1022], ["bincount"]),
         (list(range(31)) + [1023], ["sort"]),
         (list(range(39)) + [2**62 - 1], ["sort"]),
-        (list(range(39)) + [2**62], []),  # diameter 2^62: the Python loop
+        (list(range(39)) + [2**62], []),  # diameter 2^62: the Python branch
     ]
     for els, want in cases:
         routes.clear()

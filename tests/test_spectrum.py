@@ -1,7 +1,7 @@
 """Exhaustive spectrum enumeration: pinned values, gaps, coverage."""
 
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -161,6 +161,18 @@ def test_budget_and_parameter_validation():
         enumerate_spectrum(4, 2)
     with pytest.raises(ValueError):
         spectrum_gaps(enumerate_spectrum(4, 12).__class__(4, 12, (), True))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_visit_count_is_hockey_stick(n):
+    # the budget's closed form equals the row count summed over diameters
+    for d in range(n - 1, n + 30):
+        rows = sum(comb(k - 1, n - 2) for k in range(n - 1, d + 1))
+        assert rows == comb(d, n - 1)
+        with pytest.raises(BudgetError) as exc:
+            enumerate_spectrum(n, d, budget=rows - 1)
+        assert exc.value.required == rows
+    assert enumerate_spectrum(n, n + 2, budget=comb(n + 2, n - 1)).diameter_bound == n + 2
 
 
 def test_default_diameter_bound_small_n():
