@@ -13,23 +13,20 @@ import random
 from addenergy import (
     admissible_interval,
     build_with_target_energy,
-    dense_ceiling,
     energy_oracle,
 )
 
 rng = random.Random(7)
 n = 24
-floor = 2 * n * n - n
 lo, hi = admissible_interval(n)
 
 print(f"size n = {n}")
-print(f"attainable minimum (all differences distinct): {floor}")
-print(f"guaranteed band, margins trimmed:              [{lo}, {hi}]")
-print(f"contiguous coverage actually extends to:       {dense_ceiling(n)}")
+print(f"attainable minimum (all differences distinct): {lo}")
+print(f"guaranteed band, proved contiguous in step 4:  [{lo}, {hi}]")
 print()
 
 print("anatomy of a few builds (j = tail size, k = body shift):")
-for target in (floor, lo + ((n - lo) % 4), (lo + hi) // 2 // 4 * 4 + n % 4, hi - ((hi - n) % 4)):
+for target in (lo, (lo + hi) // 2 // 4 * 4 + n % 4, hi):
     res = build_with_target_energy(n, target)
     w = res.witness.elements
     small = [x for x in w if x < 10**4]
@@ -40,7 +37,7 @@ for target in (floor, lo + ((n - lo) % 4), (lo + hi) // 2 // 4 * 4 + n % 4, hi -
 print()
 print("sweep: every admissible value in the band is reached exactly")
 built = 0
-for target in range(lo + ((n - lo) % 4), hi + 1, 4):
+for target in range(lo, hi + 1, 4):
     res = build_with_target_energy(n, target)
     assert res.reached and res.energy == target
     built += 1
@@ -48,6 +45,6 @@ print(f"  {built} consecutive targets, step 4, all verified by recounting")
 
 print()
 print("past the contiguous zone the schedule reports honest misses:")
-target = dense_ceiling(n) + 4
+target = hi + 4
 res = build_with_target_energy(n, target)
 print(f"  target {target}: reached={res.reached}, closest achieved {res.energy}")

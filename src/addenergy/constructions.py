@@ -24,8 +24,6 @@ from .intset import IntSet, _as_intset, energy_oracle, max_energy
 
 # sharp-growth ratio guaranteeing all pairwise differences distinct
 LACUNARY_RATIO_MIN = 10
-# safety margin trimmed off both ends of the guaranteed target band
-BAND_MARGIN = 66
 # smallest size the target builder accepts; the spectrum module covers
 # smaller sizes exhaustively
 MIN_BUILD_SIZE = 12
@@ -210,6 +208,40 @@ def dense_ceiling(n: int) -> int:
     Walking stages from the largest tail down, the first stage whose swap
     budget j//3 cannot bridge its widest coarse gap leaves the first hole;
     everything below that hole is covered contiguously in steps of 4.
+
+    Proof.  Write C(j, k) = staged_energy(n, j, k), b = n - j for the body
+    size and B = j // 3 for the swap budget.  Stage j reaches the values
+    C(j, k) + 4s with 0 <= k <= max(0, b-2) and 0 <= s <= B, all congruent
+    to n mod 4; its top is C(j, 0) + 4B.
+
+    1. The stages abut: C(j, max(0, b-2)) = C(j+1, 0) for b >= 2, because
+       energy_drop(b, b-2) = 2(b-1)(b-2), max_energy(b) - max_energy(b-1)
+       = 2(b-1)^2 + 2b - 1 and tail_contribution(n, j) minus
+       tail_contribution(n, j+1) is -(4b-3).  With C(n-1, 0) = 2n^2 - n,
+       the coarse ranges [C(j+1, 0), C(j, 0)] tile [2n^2-n, max_energy(n)]
+       upward as j falls.
+    2. Inside stage j, C(j, k) - C(j, k+1) = 4(b-k-2), so the swaps from
+       C(j, k+1) fill that gap exactly when k >= b-3-B.  A stage with
+       b <= 3 or B >= b-3 covers its whole coarse range.
+    3. First-fit is complete.  The builder takes the largest coarse energy
+       e <= t at each stage, so if stage j reaches t = C(j, k) + 4s then
+       e >= C(j, k) and (t - e)/4 <= s <= B swaps suffice.  The builder
+       reaches t if and only if some stage does.
+    4. The first hole.  Let j be the largest stage with b >= 4 and
+       B <= b-4 (j = 0 qualifies for n >= 4), and k = b-4-B.  By 1 and 2
+       the stages after j, and stage j from C(j, b-2) up to C(j, k+1) + 4B,
+       cover every admissible value up to that point.  The next value
+       h = C(j, k+1) + 4(B+1) is reached by no stage:
+       - stage j jumps from C(j, k+1) + 4B to C(j, k) = h + 4;
+       - stages before j start at C(j-1, b-1) = C(j, 0) > h;
+       - stage j+1 tops out at C(j, b-2) + 4((j+1)//3) <= C(j, b-2) +
+         4(B+1), and by 2, C(j, k+1) - C(j, b-2) = 2(B+1)(B+2) > 0;
+       - from stage i to i+1 with b_i = n - i >= 3 the coarse top falls by
+         2(b_i-1)(b_i-2) >= 4 while the budget grows by at most one swap,
+         and stage n-1 tops out at 2n^2-n + 4((n-1)//3), not above stage
+         n-3's 2n^2-n + 4 + 4((n-3)//3); so no stage after j+1 ends higher.
+       Hence the covered range ends at h - 4 = C(j, k+1) + 4B, the value
+       returned below, and for n >= 4 it lies below max_energy(n).
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -223,17 +255,16 @@ def dense_ceiling(n: int) -> int:
 
 
 def admissible_interval(n: int) -> tuple[int, int]:
-    """Guaranteed target band [2n^2-n+66, dense_ceiling-66].
+    """Guaranteed target band [2n^2-n, dense_ceiling(n)].
 
-    Within this band every target congruent to n mod 4 is reached by the
-    deterministic schedule.  Below n = 19 the band holds no such target: it
-    is empty up to n = 15 and a single value not congruent to n mod 4 at
-    n = 16..18.  Targets outside the band down to the floor 2n^2-n are
-    attempted best-effort.
+    Every target congruent to n mod 4 in the band is reached by the
+    deterministic schedule, as ``dense_ceiling`` proves.  Both ends are
+    such targets, so the band is non-empty; at n = 12 it holds 19 of them.
+    Targets above it, up to max_energy(n), are attempted best-effort.
     """
     if n < MIN_BUILD_SIZE:
         raise ValueError(f"builder supports n >= {MIN_BUILD_SIZE}")
-    return 2 * n * n - n + BAND_MARGIN, dense_ceiling(n) - BAND_MARGIN
+    return 2 * n * n - n, dense_ceiling(n)
 
 
 def _best_at_stage(n: int, j: int, target: int) -> tuple[int, int] | None:

@@ -263,8 +263,8 @@ def tradeoff_point(k: int, n: int, p: int) -> TradeoffPoint:
     |A| = p^(2n-k) and E(A) = (2p^2-p)^k * p^(6(n-k)) by multiplicativity;
     the integer bound |A|^4 <= |G| * E(A) is asserted exactly.
     """
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
+    if n < 1 or not 0 <= k <= n:
+        raise ValueError("need n >= 1 and 0 <= k <= n")
     if not _is_odd_prime(p):
         raise ValueError("p must be an odd prime")
     m = p * p
@@ -284,8 +284,8 @@ def tradeoff_point(k: int, n: int, p: int) -> TradeoffPoint:
 
 def density_curve(n: int, p: int) -> list[TradeoffPoint]:
     """Tradeoff points for k = 0..n; the gap to 1/(2-delta) shrinks as p grows."""
-    if n > 64:
-        raise ValueError("dimension capped at 64")
+    if not 1 <= n <= 64:
+        raise ValueError("dimension must be in 1..64")
     if p > 10_000:
         raise ValueError("prime capped at 10000 (log precision budget)")
     return [tradeoff_point(k, n, p) for k in range(n + 1)]

@@ -247,8 +247,8 @@ def min_ratio_empirical(alphabet_size: int, factor_size: int, dimension: int,
     returns the smallest consecutive ratio.  A single product value yields a
     degenerate result with no ratio.
     """
-    if not factor_size <= alphabet_size <= 5:
-        raise ValueError("need factor_size <= alphabet_size <= 5")
+    if not 1 <= factor_size <= alphabet_size <= 5:
+        raise ValueError("need 1 <= factor_size <= alphabet_size <= 5")
     if not 1 <= dimension <= 4:
         raise ValueError("need 1 <= dimension <= 4")
     if budget is None:

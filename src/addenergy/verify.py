@@ -112,11 +112,8 @@ def _check_constructions(rng: random.Random):
     yield "lacunary swap adds +4", ok, "15 random sequences"
 
     n = 16
-    lo = 2 * n * n - n
-    built = all(
-        cons.build_with_target_energy(n, t).reached
-        for t in range(lo, cons.dense_ceiling(n) + 1, 4)
-    )
+    lo, hi = cons.admissible_interval(n)
+    built = all(cons.build_with_target_energy(n, t).reached for t in range(lo, hi + 1, 4))
     yield "builder covers dense band", built, f"n={n}"
 
 

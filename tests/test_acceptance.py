@@ -94,20 +94,15 @@ def test_criterion_5_builder_soundness_and_coverage():
     rng = random.Random(20242)
     for n in (20, 30, 40):
         lo, hi = admissible_interval(n)
-        first = lo + ((n - lo) % 4)
-        count = (hi - first) // 4 + 1
-        assert count >= 1
-        hits = 0
+        count = (hi - lo) // 4 + 1
         for _ in range(50):
-            target = first + 4 * rng.randrange(count)
+            target = lo + 4 * rng.randrange(count)
             result = build_with_target_energy(n, target)
-            if result.reached:
-                # soundness is unconditional on every returned witness
-                assert len(result.witness) == n
-                assert energy_oracle(result.witness) == target
-                hits += 1
-        assert hits >= 45, f"n={n}: only {hits}/50 targets reached"
-    report(5, "builder reaches >= 90% of sampled band targets, all verified", t0, 120)
+            # the band is a guarantee, and every witness is recounted
+            assert result.reached, f"n={n}: target {target} missed"
+            assert len(result.witness) == n
+            assert energy_oracle(result.witness) == target
+    report(5, "builder reaches all 150 sampled band targets, all verified", t0, 120)
 
 
 def test_criterion_6_spectrum_ground_truth():

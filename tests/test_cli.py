@@ -171,6 +171,10 @@ def test_bad_budget_env_is_a_precondition_error(monkeypatch, capsys):
     ["--budget", "-7", "spectrum", "--n", "4", "--diameter", "12"],
     ["--threads", "0", "spectrum", "--n", "4", "--diameter", "12"],
     ["--threads", "-2", "energy", "--set", "1"],
+    ["density-curve", "--n", "0", "--p", "101"],
+    ["density-curve", "--n", "-1", "--p", "101"],
+    ["min-ratio", "--M", "4", "--w", "0", "--n", "2"],
+    ["min-ratio", "--M", "4", "--w", "-1", "--n", "2"],
 ])
 def test_non_positive_flags_exit_1(argv, capsys):
     assert run_cli(argv) == (1, "")

@@ -183,10 +183,36 @@ def test_dense_ceiling_matches_brute_walk():
         assert t - 4 == top
 
 
+def test_stages_abut_and_band_is_floor_to_ceiling():
+    # step 1 of dense_ceiling's proof, and the band it proves
+    for n in range(12, 301):
+        for j in range(n - 1):
+            b = n - j
+            assert staged_energy(n, j, max(0, b - 2)) == staged_energy(n, j + 1, 0), (n, j)
+        lo, hi = admissible_interval(n)
+        assert (lo, hi) == (2 * n * n - n, dense_ceiling(n))
+        assert lo % 4 == n % 4 and lo <= hi
+
+
+def test_first_unreached_value_is_dense_ceiling_plus_4():
+    # steps 2-4 of dense_ceiling's proof: the union of every stage's reach,
+    # C(j, k) + 4s for 0 <= s <= j // 3, first misses dense_ceiling(n) + 4
+    for n in range(12, 121):
+        reach = set()
+        for j in range(n):
+            for k in range(max(1, n - j - 1)):
+                e = staged_energy(n, j, k)
+                reach.update(range(e, e + 4 * (j // 3) + 1, 4))
+        t = 2 * n * n - n
+        while t in reach:
+            t += 4
+        assert t == dense_ceiling(n) + 4, n
+
+
 def test_admissible_interval_values():
-    assert admissible_interval(20) == (846, 930)
-    assert admissible_interval(30) == (1836, 2176)
-    assert admissible_interval(40) == (3226, 4230)
+    assert admissible_interval(20) == (780, 996)
+    assert admissible_interval(30) == (1770, 2242)
+    assert admissible_interval(40) == (3160, 4296)
     with pytest.raises(ValueError):
         admissible_interval(11)
 
@@ -205,7 +231,7 @@ def test_builder_reaches_whole_band():
     # every admissible target of the guaranteed band, n = 12..80
     for n in range(12, 81):
         lo, hi = admissible_interval(n)
-        for t in range(lo + (n - lo) % 4, hi + 1, 4):
+        for t in range(lo, hi + 1, 4):
             res = build_with_target_energy(n, t)
             assert res.reached and len(res.witness) == n, (n, t)
 

@@ -343,9 +343,11 @@ def test_density_curve_structure():
         # alpha stays below the limiting curve 1/(2-delta)
         assert mpmath.mpf(pt.alpha.numerator) / pt.alpha.denominator \
             <= pt.curve_value() + mpmath.mpf("1e-90")
-    with pytest.raises(ValueError):
-        density_curve(65, 7)
+    for n in (65, 0, -1):
+        with pytest.raises(ValueError):
+            density_curve(n, 7)
     with pytest.raises(ValueError):
         density_curve(4, 10007)
-    with pytest.raises(ValueError):
-        tradeoff_point(3, 2, 5)
+    for k, n in ((3, 2), (0, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            tradeoff_point(k, n, 5)

@@ -368,9 +368,8 @@ def test_hash_collisions_fall_back_to_counter(els, monkeypatch):
 def band_targets(n):
     """Three targets of the builder's guaranteed band: its ends and middle."""
     lo, hi = constructions.admissible_interval(n)
-    first = lo + (n - lo) % 4
-    steps = (hi - first) // 4
-    return [first, first + 4 * (steps // 2), first + 4 * steps]
+    steps = (hi - lo) // 4
+    return [lo, lo + 4 * (steps // 2), hi]
 
 
 def check_builder_witnesses(sizes, monkeypatch):

@@ -131,10 +131,9 @@ def test_min_ratio_exhaustive():
 def test_min_ratio_degenerate_cases():
     assert min_ratio_empirical(3, 3, 2).degenerate
     assert min_ratio_empirical(3, 2, 2).degenerate
-    with pytest.raises(ValueError):
-        min_ratio_empirical(6, 3, 2)
-    with pytest.raises(ValueError):
-        min_ratio_empirical(4, 3, 5)
+    for alphabet, factor, dimension in ((6, 3, 2), (4, 3, 5), (4, 0, 2), (4, -1, 2)):
+        with pytest.raises(ValueError, match="factor_size|dimension"):
+            min_ratio_empirical(alphabet, factor, dimension)
 
 
 def test_ratio_chain_small():
