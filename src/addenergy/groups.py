@@ -25,7 +25,7 @@ from itertools import product
 import mpmath
 import numpy as np
 
-from .intset import _as_intset, _pair_value_counts, energy_oracle
+from .intset import _as_intset, _distinct_counts, _pair_value_counts, energy_oracle
 
 GROUP_ENERGY_CAP = 10_000
 # at or below this order, coordinate sums and flat codes of pair sums fit int64
@@ -111,7 +111,8 @@ def _flat_profile(a: GroupSet) -> tuple[np.ndarray, np.ndarray]:
             code += s
         return code
 
-    return _pair_value_counts(n, a.group.order, rows)
+    # the full n^2 table keeps the cut-over bins < n^2
+    return _distinct_counts(*_pair_value_counts(n, a.group.order, n * n / 4, rows))
 
 
 def _loop_profile(a: GroupSet) -> dict:
@@ -285,7 +286,7 @@ def tradeoff_point(k: int, n: int, p: int) -> TradeoffPoint:
 def density_curve(n: int, p: int) -> list[TradeoffPoint]:
     """Tradeoff points for k = 0..n; the gap to 1/(2-delta) shrinks as p grows."""
     if not 1 <= n <= 64:
-        raise ValueError("dimension must be in 1..64")
+        raise ValueError("dimension (--n) must be in 1..64")
     if p > 10_000:
         raise ValueError("prime capped at 10000 (log precision budget)")
     return [tradeoff_point(k, n, p) for k in range(n + 1)]

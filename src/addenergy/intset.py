@@ -17,7 +17,8 @@ All arithmetic is exact.  Elements are arbitrary-precision Python ints.
     (``_energy_counter``) of the unordered pair sums u(s), x < y, over
     ``itertools.combinations``; then E = 4 * sum u(s)^2 + 4 * sum u(2x) + n;
   * diameter below 2^62, where every offset pair sum fits int64: numpy
-    (``_energy_numpy``), through ``_pair_value_counts``;
+    (``_energy_numpy``), which counts the n(n-1)/2 unordered pair sums u(s)
+    through ``_pair_value_counts`` and applies the same identity;
   * diameter 2^62 or more: the offsets are hashed mod 2^61 - 1
     (``_energy_hashed``) while their n(n+1)/2 unordered pairs fit
     ``_PAIR_BLOCK``, and counted by the Counter past it.
@@ -25,10 +26,12 @@ All arithmetic is exact.  Elements are arbitrary-precision Python ints.
 The hashed route is exact whatever the hash does: pairs with equal hashes are
 compared as Python ints unless their hash is provably their sum, and any two
 that differ send the set to the Counter.  Only the time depends on the hash.
-``difference_profile`` has the numpy route below 2^62 and a Counter of the
-differences y - x over ``combinations`` otherwise.  ``_pair_value_counts`` is
-the one rule the numpy routes (and the group sum profile) use to count a table
-of pair values.
+``difference_profile`` counts the differences y - x, x < y, in numpy below
+2^62 and by a Counter over ``combinations`` otherwise.  ``_pair_value_counts``
+is the one rule the numpy routes (and the group sum profile) use to count a
+table of pair values: ``np.bincount`` when the values span fewer than
+min(4 * pairs, ``_PAIR_BLOCK``) bins, else one in-place sort of the whole
+table, which for the integer routes holds the n(n-1)/2 unordered pairs.
 """
 
 from __future__ import annotations
@@ -41,13 +44,15 @@ from math import gcd
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # a diameter below this bound keeps every offset pair sum inside int64
 _INT64_SAFE = 2**62
 # below this size the pure-Python Counter path wins anyway
 _NUMPY_MIN_SIZE = 32
-# most pair values, and most bincount bins, held at once on the bincount route;
-# also the most unordered pairs the hashed route sorts
+# most pair values, and most bincount bins, held at once on the bincount route,
+# which a table takes only when bins < min(4 * pairs, _PAIR_BLOCK); also the
+# most unordered pairs the hashed route sorts
 _PAIR_BLOCK = 8_000_000
 # the Mersenne prime 2^61 - 1: two residues sum below 2^62, inside int64
 _HASH_MODULUS = 2**61 - 1
@@ -162,27 +167,74 @@ def _int64_safe(elements) -> bool:
     return elements[-1] - elements[0] < _INT64_SAFE
 
 
-def _pair_value_counts(n: int, bins: int, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values of an n-row pair table, ascending, and their counts.
+def _pair_value_counts(n: int, bins: int, pairs: float,
+                       rows) -> tuple[np.ndarray | None, np.ndarray]:
+    """Count the values of an n-row table of ``pairs`` pair values.
 
     ``rows(lo, hi)`` builds rows lo..hi-1 of the table as a new int64 array of
-    at most n values per row, each in [0, bins).  If bins < min(n^2,
+    at most n values per row, each in [0, bins).  If bins < min(4 * pairs,
     ``_PAIR_BLOCK``), ``np.bincount`` counts the table in row blocks of at
     most ``_PAIR_BLOCK`` values, each built inside the call that counts it and
-    freed before the next; else the whole table is sorted in place and its
-    runs are counted, so no second copy of it is made.
+    freed before the next, and the result is (None, counts) with counts[v] the
+    count of v, zeros included.  Else the whole table is sorted in place and
+    its runs are counted, so no second copy of it is made, and the result is
+    the distinct values, ascending, and their counts.  For a table of the
+    unordered pairs a < b the two tie near 4 * pairs bins (about 5 * 10^5
+    pairs at 2 * 10^6 bins, 2-core Xeon); a full n^2 table passes n^2 / 4.
     """
-    if bins < min(n * n, _PAIR_BLOCK):
+    if bins < min(4 * pairs, _PAIR_BLOCK):
         step = max(1, _PAIR_BLOCK // n)
-        counts = np.zeros(bins, dtype=np.int64)
-        for lo in range(0, n, step):
+        counts = np.bincount(rows(0, min(n, step)).ravel(), minlength=bins)
+        for lo in range(step, n, step):
             counts += np.bincount(rows(lo, min(n, lo + step)).ravel(), minlength=bins)
-        values = np.flatnonzero(counts != 0)  # a bool scan is faster than an int64 one
-        return values, counts[values]
+        return None, counts
     s = rows(0, n).ravel()
     s.sort()
     starts = np.flatnonzero(_first_of_run(s))
     return s[starts], np.diff(starts, append=s.size)
+
+
+def _distinct_counts(values: np.ndarray | None,
+                     counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values, ascending, and their counts, from either result of
+    ``_pair_value_counts``."""
+    if values is None:
+        values = np.flatnonzero(counts != 0)  # a bool scan is faster than an int64 one
+        counts = counts[values]
+    return values, counts
+
+
+def _unordered_pairs(arr: np.ndarray, op):
+    """``rows`` for ``_pair_value_counts`` holding op(arr[a], arr[b]) once for
+    each pair a < b, for an ``op`` symmetric in its two arguments.
+
+    The n(n-1)/2 pairs are folded into n rows of h = (n-1) // 2 values: row i
+    holds op(arr[(i + j) mod n], arr[i]) for j = 1..h, so the pair a < b lies
+    in row a if b - a <= h and in row b if b - a >= n - h.  For even n that
+    leaves the pairs with b - a = n/2, and rows i < n/2 take
+    op(arr[i + n/2], arr[i]) as one more value.  A block of rows is two numpy
+    calls writing into one new array; a numpy call per row was 2-16x slower
+    at n = 32..1,500.
+    """
+    n = arr.size
+    h = (n - 1) // 2
+    half = n // 2 if n % 2 == 0 else 0
+    ring = sliding_window_view(np.concatenate([arr[1:], arr]), h)  # ring[i, j-1] = arr[(i+j) % n]
+
+    def rows(lo, hi):
+        m, extra = hi - lo, max(0, min(hi, half) - lo)
+        out = np.empty(m * h + extra, dtype=np.int64)
+        op(ring[lo:hi], arr[lo:hi, None], out=out[:m * h].reshape(m, h))
+        op(arr[lo + half:lo + half + extra], arr[lo:lo + extra], out=out[m * h:])
+        return out
+
+    return rows
+
+
+def _absolute_difference(x, y, out):
+    """|x - y| into ``out``: the symmetric op of the difference table."""
+    np.subtract(x, y, out=out)
+    np.abs(out, out=out)
 
 
 def _first_of_run(s: np.ndarray) -> np.ndarray:
@@ -201,14 +253,26 @@ def _offsets(elements: tuple[int, ...]) -> np.ndarray:
 def _energy_numpy(elements: tuple[int, ...]) -> int:
     """Sum-multiset count of the offsets x - min, for ``_int64_safe`` sets.
 
-    Offsets lie in [0, 2^62), so pair sums lie in [0, 2^63) and take at most
-    2*diameter + 1 values.  Each r(s) <= n, and sum r(s)^2 = E <= n^3 fits
-    int64 for n < 2^21.
+    The identity of ``_energy_counter``, E = 4 * sum u(s)^2 + 4 * sum_{x in A}
+    u(2x) + n, over the n(n-1)/2 unordered pair sums of the offsets.  Offsets
+    lie in [0, 2^62), so pair sums lie in [0, 2^63) and take at most
+    2*diameter + 1 values.  Each u(s) <= n/2, and every term of the identity
+    is at most E <= n^3, which fits int64 for n < 2^21.  On the bincount
+    branch u(2x) is read from the count array directly; on the sort branch
+    2x is looked up in the distinct sums, where 2*min lies below them all and
+    2*max above them all.
     """
     arr = _offsets(elements)
-    _, r = _pair_value_counts(len(arr), 2 * (elements[-1] - elements[0]) + 1,
-                              lambda lo, hi: arr[lo:hi, None] + arr[None, :])
-    return int(np.dot(r, r))
+    n = len(arr)
+    values, u = _pair_value_counts(n, 2 * (elements[-1] - elements[0]) + 1, n * (n - 1) // 2,
+                                   _unordered_pairs(arr, np.add))
+    doubles = 2 * arr
+    if values is None:
+        on_doubles = u[doubles]
+    else:
+        i = np.minimum(np.searchsorted(values, doubles), values.size - 1)
+        on_doubles = u[i][values[i] == doubles]
+    return 4 * int(np.dot(u, u)) + 4 * int(on_doubles.sum()) + n
 
 
 def _energy_counter(elements: tuple[int, ...]) -> int:
@@ -313,16 +377,15 @@ def energy_by_quadruples(a) -> int:
 def _positive_differences(elements: tuple[int, ...]) -> dict:
     """d+ of an ``_int64_safe`` set, counted in numpy over the offsets x - min.
 
-    Differences of offsets in [0, 2^62) lie in (-2^62, 2^62); the positive
-    ones take at most diameter values.  Keys and counts are Python ints.
+    Each of the n(n-1)/2 pairs a < b gives one difference |arr[b] - arr[a]|
+    in (0, 2^62), so the table takes at most diameter values, and each count
+    is below n.  Keys and counts are Python ints.
     """
     arr = _offsets(elements)
-
-    def rows(lo, hi):
-        d = arr[None, :] - arr[lo:hi, None]
-        return d[d > 0]
-
-    values, counts = _pair_value_counts(len(arr), elements[-1] - elements[0] + 1, rows)
+    n = len(arr)
+    rows = _unordered_pairs(arr, _absolute_difference)
+    values, counts = _distinct_counts(*_pair_value_counts(
+        n, elements[-1] - elements[0] + 1, n * (n - 1) // 2, rows))
     return dict(zip(values.tolist(), counts.tolist()))
 
 

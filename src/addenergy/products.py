@@ -18,7 +18,7 @@ from math import comb, log2, prod
 
 import numpy as np
 
-from .constructions import build_with_target_energy
+from .constructions import LACUNARY_RATIO_MIN, build_with_target_energy
 from .errors import BudgetError, default_budget
 from .intset import IntSet, _as_intset, _int64_safe, energy_oracle
 
@@ -187,6 +187,9 @@ def ratio_chain(w: int, n: int, base: int = 10) -> RatioChain:
         raise ValueError("factor size must be >= 12 (builder constraint)")
     if n < 2:
         raise ValueError("dimension must be >= 2")
+    # checked here, as a miss below would read as an unreachable chain start
+    if base < LACUNARY_RATIO_MIN:
+        raise ValueError(f"base must be >= {LACUNARY_RATIO_MIN}")
     floor = 2 * w * w - w
     band_lo = -(-w**3 // 90)  # ceil(w^3 / 90); below it the ratio bound fails
     t0 = max(floor, band_lo)
@@ -248,9 +251,9 @@ def min_ratio_empirical(alphabet_size: int, factor_size: int, dimension: int,
     degenerate result with no ratio.
     """
     if not 1 <= factor_size <= alphabet_size <= 5:
-        raise ValueError("need 1 <= factor_size <= alphabet_size <= 5")
+        raise ValueError("need 1 <= factor_size (--w) <= alphabet_size (--M) <= 5")
     if not 1 <= dimension <= 4:
-        raise ValueError("need 1 <= dimension <= 4")
+        raise ValueError("need 1 <= dimension (--n) <= 4")
     if budget is None:
         budget = default_budget()
     subsets = comb(alphabet_size, factor_size)

@@ -175,10 +175,25 @@ def test_bad_budget_env_is_a_precondition_error(monkeypatch, capsys):
     ["density-curve", "--n", "-1", "--p", "101"],
     ["min-ratio", "--M", "4", "--w", "0", "--n", "2"],
     ["min-ratio", "--M", "4", "--w", "-1", "--n", "2"],
+    ["ratio-chain", "--w", "12", "--n", "2", "--base", "0"],
+    ["ratio-chain", "--w", "12", "--n", "2", "--base", "1"],
+    ["ratio-chain", "--w", "12", "--n", "2", "--base", "-5"],
 ])
 def test_non_positive_flags_exit_1(argv, capsys):
     assert run_cli(argv) == (1, "")
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["min-ratio", "--M", "4", "--w", "0", "--n", "2"], ["--w", "--M"]),
+    (["min-ratio", "--M", "6", "--w", "3", "--n", "2"], ["--w", "--M"]),
+    (["min-ratio", "--M", "4", "--w", "3", "--n", "5"], ["--n"]),
+    (["density-curve", "--n", "0", "--p", "101"], ["--n"]),
+])
+def test_errors_name_the_flags(argv, flags, capsys):
+    assert run_cli(argv) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and all(f in err for f in flags)
 
 
 @pytest.mark.parametrize("argv", [["energy"], ["no-such-command"], ["--threads", "x", "verify"]])

@@ -246,9 +246,10 @@ def test_int64_boundary_routes(monkeypatch):
 
 
 def test_bincount_unique_boundary(monkeypatch):
-    # n = 32: bincount iff 2 * diameter + 1 < n^2 = 1024, else sort
+    # n = 32: bincount iff 2 * diameter + 1 < 4 * 496 unordered pairs = 1984,
+    # else sort
     routes = record_routes(monkeypatch)
-    for top, want in ((511, "bincount"), (512, "sort")):
+    for top, want in ((991, "bincount"), (992, "sort")):
         a = IntSet(list(range(31)) + [top])
         by_profile = energy_from_profile(difference_profile(a))
         routes.clear()
@@ -269,6 +270,20 @@ def test_bincount_row_blocks(monkeypatch):
     routes.clear()
     assert difference_profile(els) == profile
     assert routes == ["bincount", "bincount"]
+
+
+@pytest.mark.parametrize("n", [32, 33, 40, 41])
+def test_unordered_pairs_in_row_blocks(n):
+    # the pairs fold into n rows, with one more value in rows i < n/2 for even
+    # n; row blocks of every size hold each pair a < b once
+    els = sorted(random.Random(n).sample(range(10**6), n))
+    arr = np.array(els, dtype=np.int64)
+    for op, want in ((np.add, Counter(x + y for i, x in enumerate(els) for y in els[i + 1:])),
+                     (intset._absolute_difference, pair_loop_differences(els))):
+        rows = intset._unordered_pairs(arr, op)
+        for step in range(1, n + 1):
+            blocks = [rows(lo, min(n, lo + step)) for lo in range(0, n, step)]
+            assert Counter(np.concatenate(blocks).tolist()) == want
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -315,6 +330,26 @@ def test_energy_counter_matches_literal_sum_count(els, shift):
     assert e == literal_sum_energy(a)
     if len(a) <= 12:
         assert e == energy_by_quadruples(a)
+
+
+NUMPY_SETS = st.one_of(
+    # gaps up to 2^k
+    st.integers(0, 40).flatmap(lambda k: st.lists(st.integers(1, 2**k), min_size=32,
+                                                  max_size=90).map(lambda g: list(accumulate(g)))),
+    # progressions: the double 2x of every inner x is a pair sum
+    st.builds(range, st.integers(32, 90)),
+    # base-3 digits 0 and 1: no three-term progression, so no double is a pair sum
+    st.builds(lambda n: [int(bin(i)[2:], 3) for i in range(n)], st.integers(32, 90)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(NUMPY_SETS, st.sampled_from([1, 2, 10**6]), st.integers(-2**40, 2**40))
+def test_energy_numpy_matches_counter(els, scale, shift):
+    # a scale of 10^6 spreads every set past the bincount cut-over into the
+    # sort, where 2 * min lies below every unordered sum and 2 * max above
+    a = tuple(scale * x + shift for x in els)
+    assert _energy_numpy(a) == _energy_counter(a)
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +487,9 @@ def test_difference_profile_routes(monkeypatch):
     cases = [
         (range(31), []),  # below _NUMPY_MIN_SIZE: the Python branch
         ([2**64 + x for x in range(40)], ["bincount"]),
-        # n = 32: bincount iff diameter + 1 < n^2 = 1024
-        (list(range(31)) + [1022], ["bincount"]),
-        (list(range(31)) + [1023], ["sort"]),
+        # n = 32: bincount iff diameter + 1 < 4 * 496 unordered pairs = 1984
+        (list(range(31)) + [1982], ["bincount"]),
+        (list(range(31)) + [1983], ["sort"]),
         (list(range(39)) + [2**62 - 1], ["sort"]),
         (list(range(39)) + [2**62], []),  # diameter 2^62: the Python branch
     ]
