@@ -50,9 +50,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 _INT64_SAFE = 2**62
 # below this size the pure-Python Counter path wins anyway
 _NUMPY_MIN_SIZE = 32
-# most pair values, and most bincount bins, held at once on the bincount route,
-# which a table takes only when bins < min(4 * pairs, _PAIR_BLOCK); also the
-# most unordered pairs the hashed route sorts
+# most pair values held at once on the bincount route, which a table takes only
+# when bins < min(4 * pairs, _PAIR_BLOCK), its count array rounded up to at most
+# 2^23 bins; also the most unordered pairs the hashed route sorts
 _PAIR_BLOCK = 8_000_000
 # the Mersenne prime 2^61 - 1: two residues sum below 2^62, inside int64
 _HASH_MODULUS = 2**61 - 1
@@ -176,14 +176,22 @@ def _pair_value_counts(n: int, bins: int, pairs: float,
     ``_PAIR_BLOCK``), ``np.bincount`` counts the table in row blocks of at
     most ``_PAIR_BLOCK`` values, each built inside the call that counts it and
     freed before the next, and the result is (None, counts) with counts[v] the
-    count of v, zeros included.  Else the whole table is sorted in place and
-    its runs are counted, so no second copy of it is made, and the result is
-    the distinct values, ascending, and their counts.  For a table of the
-    unordered pairs a < b the two tie near 4 * pairs bins (about 5 * 10^5
-    pairs at 2 * 10^6 bins, 2-core Xeon); a full n^2 table passes n^2 / 4.
+    count of v, zeros included, for v below len(counts) >= bins.  Else the
+    whole table is sorted in place and its runs are counted, so no second copy
+    of it is made, and the result is the distinct values, ascending, and their
+    counts.  For a table of the unordered pairs a < b the two tie near
+    4 * pairs bins (about 5 * 10^5 pairs at 2 * 10^6 bins, 2-core Xeon); a
+    full n^2 table passes n^2 / 4.
+
+    The count array is rounded up to a power of two of bins, zeros past
+    ``bins``: sets of nearly equal span then ask for one size, so the block
+    one count frees is taken again by the next instead of the heap growing
+    past it.  Without the rounding, peak RSS over a run of such counts moved
+    by one count array (16 MB at 2 * 10^6 bins) with the spans' last digits.
     """
     if bins < min(4 * pairs, _PAIR_BLOCK):
         step = max(1, _PAIR_BLOCK // n)
+        bins = 1 << (bins - 1).bit_length()
         counts = np.bincount(rows(0, min(n, step)).ravel(), minlength=bins)
         for lo in range(step, n, step):
             counts += np.bincount(rows(lo, min(n, lo + step)).ravel(), minlength=bins)

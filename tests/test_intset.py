@@ -257,6 +257,16 @@ def test_bincount_unique_boundary(monkeypatch):
         assert routes == ["numpy", want]
 
 
+def test_bincount_array_is_a_power_of_two():
+    # spans 1,027 and 2,001 ask for one count array, zeros past the largest sum
+    for top in (513, 1000):
+        arr = np.array(list(range(39)) + [top], dtype=np.int64)
+        values, counts = intset._pair_value_counts(40, 2 * top + 1, 780,
+                                                   intset._unordered_pairs(arr, np.add))
+        assert values is None and counts.size == 2048
+        assert counts.sum() == 780 and not counts[top + 39:].any()
+
+
 def test_bincount_row_blocks(monkeypatch):
     rng = random.Random(1010)
     els = tuple(sorted(rng.sample(range(10**6, 10**6 + 400), 40)))
