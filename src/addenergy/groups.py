@@ -112,7 +112,7 @@ def _flat_profile(a: GroupSet) -> tuple[np.ndarray, np.ndarray]:
         return code
 
     # the full n^2 table keeps the cut-over bins < n^2
-    return _distinct_counts(*_pair_value_counts(n, a.group.order, n * n / 4, rows))
+    return _distinct_counts(*_pair_value_counts(n, n, a.group.order, n * n / 4, rows))
 
 
 def _loop_profile(a: GroupSet) -> dict:

@@ -27,20 +27,24 @@ The hashed route is exact whatever the hash does: pairs with equal hashes are
 compared as Python ints unless their hash is provably their sum, and any two
 that differ send the set to the Counter.  Only the time depends on the hash.
 ``difference_profile`` counts the differences y - x, x < y, in numpy below
-2^62 and by a Counter over ``combinations`` otherwise.  ``_pair_value_counts``
-is the one rule the numpy routes (and the group sum profile) use to count a
-table of pair values: ``np.bincount`` when the values span fewer than
-min(4 * pairs, ``_PAIR_BLOCK``) bins, else one in-place sort of the whole
-table, which for the integer routes holds the n(n-1)/2 unordered pairs.
+2^62 and by a Counter over ``combinations`` otherwise; either way a
+``DifferenceProfile`` is two read-only numpy arrays, the ascending distinct
+differences and their counts, and every reader (``energy_from_profile``, the
+``searchsorted`` lookups of ``incremental_energy_extend``, ``to_json``) works
+on the arrays.  ``_pair_value_counts`` is the one rule the numpy routes (and
+the group sum profile) use to count a table of pair values: ``np.bincount``
+when the values span fewer than min(4 * pairs, ``_PAIR_BLOCK``) bins, else
+one in-place sort of the whole table, which for the integer routes holds the
+n(n-1)/2 unordered pairs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -119,43 +123,120 @@ class IntSet:
         return cls(int(x) for x in data)
 
 
-@dataclass(frozen=True)
 class DifferenceProfile:
-    """Counts of positive differences of a set: positive[x] = d+(x).
+    """Counts of positive differences of a set: d+(x) at each x > 0.
 
     d+(x) is the number of pairs a1 < a2 with a2 - a1 = x.  The two-sided
     difference count d(x) equals d+(|x|) for x != 0 and n at x = 0; only the
     positive side is stored, the mirror is applied on read.
+
+    The profile is two read-only numpy arrays of equal length:
+    ``differences``, the distinct positive differences in ascending order,
+    and ``counts``, their d+ values, each at least 1.  Each array is int64
+    when its largest value is below 2^63 and an object array of Python ints
+    past it (differences of a set of diameter 2^63 or more).  The constructor
+    keeps read-only views of the arrays it is given and checks nothing;
+    ``from_json`` checks its input.  ``positive``, the mapping {x: d+(x)} of
+    Python ints, is derived from the arrays on first access and kept.
     """
 
-    n: int
-    positive: Mapping[int, int]
+    __slots__ = ("n", "differences", "counts", "_positive")
+
+    def __init__(self, n: int, differences: np.ndarray, counts: np.ndarray):
+        self.n = n
+        self.differences = _read_only(differences)
+        self.counts = _read_only(counts)
+        self._positive = None
+
+    @property
+    def positive(self) -> Mapping[int, int]:
+        """Read-only mapping x -> d+(x) over the positive differences, ascending."""
+        if self._positive is None:
+            self._positive = MappingProxyType(
+                dict(zip(self.differences.tolist(), self.counts.tolist())))
+        return self._positive
+
+    def _sum_at(self, xs: list[int]) -> int:
+        """Sum of d+(x) over ``xs``, found by one ``searchsorted``.  Each x must
+        be a positive int at most the diameter, so it fits the differences'
+        dtype and its index is below their size; the sum is exact while
+        len(xs) * max(counts) < 2^63 (a profile of an n-set has counts below n)."""
+        keys = np.array(xs, dtype=self.differences.dtype)
+        i = self.differences.searchsorted(keys)
+        return int(self.counts[i] @ (self.differences[i] == keys))
 
     def d_plus(self, x: int) -> int:
         if x <= 0:
             raise ValueError("d+ is defined for positive differences only")
-        return self.positive.get(x, 0)
+        return self._sum_at([x]) if x <= self.diameter else 0
 
     def d(self, x: int) -> int:
         if x == 0:
             return self.n
-        return self.positive.get(abs(x), 0)
+        return self.d_plus(abs(x))
 
     @property
     def total_pairs(self) -> int:
         """Sum of d+(x); equals n(n-1)/2 for a valid profile."""
-        return sum(self.positive.values())
+        return sum(self.counts.tolist())
 
     @property
     def diameter(self) -> int:
-        return max(self.positive) if self.positive else 0
+        return int(self.differences[-1]) if self.differences.size else 0
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, DifferenceProfile) and self.n == other.n
+                and np.array_equal(self.differences, other.differences)
+                and np.array_equal(self.counts, other.counts))
+
+    def __repr__(self) -> str:
+        return (f"DifferenceProfile(n={self.n}, differences={self.differences!r}, "
+                f"counts={self.counts!r})")
 
     def to_json(self) -> dict:
-        return {"n": self.n, "positive": {str(x): c for x, c in sorted(self.positive.items())}}
+        """{"n": n, "positive": {decimal x: d+(x)}}, x ascending."""
+        return {"n": self.n, "positive": {str(x): c for x, c in zip(
+            self.differences.tolist(), self.counts.tolist())}}
 
     @classmethod
     def from_json(cls, data: Mapping) -> "DifferenceProfile":
-        return cls(int(data["n"]), {int(x): int(c) for x, c in data["positive"].items()})
+        """Inverse of ``to_json``; a difference or a count below 1 is a ValueError."""
+        positive = {int(x): int(c) for x, c in data["positive"].items()}
+        if any(x < 1 or c < 1 for x, c in positive.items()):
+            raise ValueError("profile differences and counts must be positive")
+        return _sorted_profile(int(data["n"]), positive, max(positive, default=0),
+                               max(positive.values(), default=0))
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """A view of ``values`` that refuses writes."""
+    view = values.view()
+    view.flags.writeable = False
+    return view
+
+
+def _int_array(values: Iterable[int], size: int, top: int) -> np.ndarray:
+    """``size`` nonnegative ints at most ``top``: int64 if top fits, else an object array."""
+    return np.fromiter(values, np.int64 if top < 2**63 else object, size)
+
+
+def _sorted_profile(n: int, positive: Mapping[int, int], top_difference: int,
+                    top_count: int) -> DifferenceProfile:
+    """The profile of a mapping {x: d+(x)} of positive ints, each x at most
+    ``top_difference`` and each d+(x) at most ``top_count``; the keys are
+    sorted once, by an argsort of their array."""
+    size = len(positive)
+    x = _int_array(positive.keys(), size, top_difference)
+    order = x.argsort()
+    return DifferenceProfile(n, x[order], _int_array(positive.values(), size, top_count)[order])
+
+
+def _square_sum(counts: np.ndarray) -> int:
+    """Exact sum of c^2 over ``counts``: in int64 when the dtype is int64 and
+    len * max^2 < 2^63, which bounds every partial sum, else in Python ints."""
+    if counts.dtype == np.int64 and counts.size * int(counts.max(initial=0)) ** 2 < 2**63:
+        return int(np.dot(counts, counts))
+    return sum(c * c for c in counts.tolist())
 
 
 def _as_intset(a) -> IntSet:
@@ -167,21 +248,23 @@ def _int64_safe(elements) -> bool:
     return elements[-1] - elements[0] < _INT64_SAFE
 
 
-def _pair_value_counts(n: int, bins: int, pairs: float,
+def _pair_value_counts(n: int, width: int, bins: int, pairs: float,
                        rows) -> tuple[np.ndarray | None, np.ndarray]:
     """Count the values of an n-row table of ``pairs`` pair values.
 
     ``rows(lo, hi)`` builds rows lo..hi-1 of the table as a new int64 array of
-    at most n values per row, each in [0, bins).  If bins < min(4 * pairs,
-    ``_PAIR_BLOCK``), ``np.bincount`` counts the table in row blocks of at
-    most ``_PAIR_BLOCK`` values, each built inside the call that counts it and
-    freed before the next, and the result is (None, counts) with counts[v] the
-    count of v, zeros included, for v below len(counts) >= bins.  Else the
-    whole table is sorted in place and its runs are counted, so no second copy
-    of it is made, and the result is the distinct values, ascending, and their
-    counts.  For a table of the unordered pairs a < b the two tie near
-    4 * pairs bins (about 5 * 10^5 pairs at 2 * 10^6 bins, 2-core Xeon); a
-    full n^2 table passes n^2 / 4.
+    at most ``width`` values per row, each in [0, bins).  If bins < min(4 *
+    pairs, ``_PAIR_BLOCK``), ``np.bincount`` counts the table in blocks of
+    ``_PAIR_BLOCK // width`` rows, so at most ``_PAIR_BLOCK`` values, each
+    built inside the call that counts it and freed before the next, and the
+    result is (None, counts) with counts[v] the count of v, zeros included,
+    for v below len(counts) >= bins.  Else the whole table is sorted in place
+    and its runs are counted, so no second copy of it is made, and the result
+    is the distinct values, ascending, and their counts.  For a table of the
+    unordered pairs a < b the two tie near 4 * pairs bins (about 5 * 10^5
+    pairs at 2 * 10^6 bins, 2-core Xeon); a full n^2 table passes n^2 / 4.
+    The folded rows of ``_unordered_pairs`` hold at most n // 2 values, a
+    full n^2 table n.
 
     The count array is rounded up to a power of two of bins, zeros past
     ``bins``: sets of nearly equal span then ask for one size, so the block
@@ -190,7 +273,7 @@ def _pair_value_counts(n: int, bins: int, pairs: float,
     by one count array (16 MB at 2 * 10^6 bins) with the spans' last digits.
     """
     if bins < min(4 * pairs, _PAIR_BLOCK):
-        step = max(1, _PAIR_BLOCK // n)
+        step = max(1, _PAIR_BLOCK // width)
         bins = 1 << (bins - 1).bit_length()
         counts = np.bincount(rows(0, min(n, step)).ravel(), minlength=bins)
         for lo in range(step, n, step):
@@ -272,8 +355,8 @@ def _energy_numpy(elements: tuple[int, ...]) -> int:
     """
     arr = _offsets(elements)
     n = len(arr)
-    values, u = _pair_value_counts(n, 2 * (elements[-1] - elements[0]) + 1, n * (n - 1) // 2,
-                                   _unordered_pairs(arr, np.add))
+    values, u = _pair_value_counts(n, n // 2, 2 * (elements[-1] - elements[0]) + 1,
+                                   n * (n - 1) // 2, _unordered_pairs(arr, np.add))
     doubles = 2 * arr
     if values is None:
         on_doubles = u[doubles]
@@ -382,37 +465,44 @@ def energy_by_quadruples(a) -> int:
     return count
 
 
-def _positive_differences(elements: tuple[int, ...]) -> dict:
+def _positive_differences(elements: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """d+ of an ``_int64_safe`` set, counted in numpy over the offsets x - min.
 
     Each of the n(n-1)/2 pairs a < b gives one difference |arr[b] - arr[a]|
     in (0, 2^62), so the table takes at most diameter values, and each count
-    is below n.  Keys and counts are Python ints.
+    is below n.  Returns the distinct differences, ascending, and their
+    counts, both int64.
     """
     arr = _offsets(elements)
     n = len(arr)
-    rows = _unordered_pairs(arr, _absolute_difference)
-    values, counts = _distinct_counts(*_pair_value_counts(
-        n, elements[-1] - elements[0] + 1, n * (n - 1) // 2, rows))
-    return dict(zip(values.tolist(), counts.tolist()))
+    return _distinct_counts(*_pair_value_counts(
+        n, n // 2, elements[-1] - elements[0] + 1, n * (n - 1) // 2,
+        _unordered_pairs(arr, _absolute_difference)))
 
 
 def difference_profile(a) -> DifferenceProfile:
     """All positive pairwise differences with multiplicities.
 
     Sets of ``_NUMPY_MIN_SIZE`` or more elements and diameter below 2^62 are
-    counted in numpy; the rest by a Counter over the pairs x < y.
+    counted in numpy; the rest by a Counter over the pairs x < y, whose keys
+    are then sorted once.  Both give the arrays of ``DifferenceProfile``.
     """
-    s = _as_intset(a)
-    els = s.elements
-    if len(els) >= _NUMPY_MIN_SIZE and _int64_safe(els):
-        return DifferenceProfile(len(els), _positive_differences(els))
-    return DifferenceProfile(len(els), dict(Counter(y - x for x, y in combinations(els, 2))))
+    els = _as_intset(a).elements
+    n = len(els)
+    if n >= _NUMPY_MIN_SIZE and _int64_safe(els):
+        return DifferenceProfile(n, *_positive_differences(els))
+    return _sorted_profile(n, Counter(y - x for x, y in combinations(els, 2)),
+                           els[-1] - els[0] if els else 0, n)
 
 
 def energy_from_profile(p: DifferenceProfile) -> int:
-    """E = n^2 + 2 * sum of d+(x)^2 over positive differences."""
-    return p.n * p.n + 2 * sum(c * c for c in p.positive.values())
+    """E = n^2 + 2 * sum of d+(x)^2 over positive differences.
+
+    The squares are summed in int64 when len(counts) * max(counts)^2 < 2^63
+    (for a profile of an n-set, n^3 / 2 < 2^63 suffices, n < 2.6 * 10^6),
+    else in Python ints; the result is exact either way.
+    """
+    return p.n * p.n + 2 * _square_sum(p.counts)
 
 
 def max_energy(n: int) -> int:
@@ -438,17 +528,22 @@ def incremental_energy_extend(a, energy_a: int, a_new: int) -> int:
     """Energy after appending a_new > max(A), from the energy of A.
 
     The increment is 4n + 4*sum(t_j) + 1 where t_j = d+(a_new - a_j) is read
-    from the difference profile of A.  That profile is rebuilt on each call,
-    so a call costs O(n^2), not O(n).  Requires |A| >= 1.
+    from the difference profile of A.  Only a_new - a_j up to the diameter
+    can be a difference; those are looked up in the profile's arrays with one
+    ``searchsorted``, so no lookup value leaves their dtype, and the rest
+    count 0.  The profile is rebuilt on each call, so a call costs O(n^2),
+    not O(n).  Requires |A| >= 1.
     """
     s = _as_intset(a)
-    if len(s) < 1:
+    els = s.elements
+    if len(els) < 1:
         raise ValueError("need a nonempty base set")
-    if a_new <= s.elements[-1]:
+    if a_new <= els[-1]:
         raise ValueError("new element must exceed the current maximum")
     prof = difference_profile(s)
-    t_sum = sum(prof.d_plus(a_new - x) for x in s.elements)
-    return energy_a + 4 * len(s) + 4 * t_sum + 1
+    near = els[bisect_left(els, a_new - (els[-1] - els[0])):]  # a_new - x <= diameter
+    t_sum = prof._sum_at([a_new - x for x in near])
+    return energy_a + 4 * len(els) + 4 * t_sum + 1
 
 
 def normalize(a) -> IntSet:

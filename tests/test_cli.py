@@ -282,6 +282,18 @@ def test_profile_stdout_pinned(gap, shift):
         == (0, _TWO_BLOCK_PROFILES[gap])
 
 
+@pytest.mark.parametrize("els, stdout", [
+    # differences past 2^63 are Python ints, one of them counted twice
+    ([5, 2**64 + 5, 2**65 + 5, 2**65 + 6],
+     '{"n":4,"positive":{"1":1,"18446744073709551616":2,"18446744073709551617":1,'
+     '"36893488147419103232":1,"36893488147419103233":1}}\n'),
+    # one element has no positive difference
+    ([7], '{"n":1,"positive":{}}\n'),
+])
+def test_profile_stdout_pinned_edges(els, stdout):
+    assert run_cli(["profile", "--set", ",".join(map(str, els))]) == (0, stdout)
+
+
 def test_sidon_p997_stdout_pinned():
     code, out = run_cli(["sidon", "--p", "997", "--check"])
     assert code == 0

@@ -3,7 +3,7 @@
 import json
 import random
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import numpy as np
 import pytest
@@ -261,7 +261,7 @@ def test_bincount_array_is_a_power_of_two():
     # spans 1,027 and 2,001 ask for one count array, zeros past the largest sum
     for top in (513, 1000):
         arr = np.array(list(range(39)) + [top], dtype=np.int64)
-        values, counts = intset._pair_value_counts(40, 2 * top + 1, 780,
+        values, counts = intset._pair_value_counts(40, 20, 2 * top + 1, 780,
                                                    intset._unordered_pairs(arr, np.add))
         assert values is None and counts.size == 2048
         assert counts.sum() == 780 and not counts[top + 39:].any()
@@ -272,11 +272,17 @@ def test_bincount_row_blocks(monkeypatch):
     els = tuple(sorted(rng.sample(range(10**6, 10**6 + 400), 40)))
     one_block = _energy_numpy(els)
     profile = difference_profile(els)
-    # 1,000 values per block: 25 rows of 40, then 15 rows
+    # blocks are sized by the rows' width: the 40 folded rows hold at most
+    # 20 values each, so 1,000 values per block take all 40 rows at once
     monkeypatch.setattr(intset, "_PAIR_BLOCK", 1000)
     routes = record_routes(monkeypatch)
     assert _energy_numpy(els) == one_block == energy_from_profile(profile)
-    assert routes == ["bincount", "bincount"]
+    assert routes == ["bincount"]
+    routes.clear()
+    assert difference_profile(els) == profile
+    assert routes == ["bincount"]
+    # 500 values per block: 25 rows of 20, then 15 rows
+    monkeypatch.setattr(intset, "_PAIR_BLOCK", 500)
     routes.clear()
     assert difference_profile(els) == profile
     assert routes == ["bincount", "bincount"]
@@ -509,6 +515,116 @@ def test_difference_profile_routes(monkeypatch):
         assert routes == want
         assert prof.positive == pair_loop_differences(IntSet(els).elements)
         assert all(type(x) is int and type(c) is int for x, c in prof.positive.items())
+
+
+def check_profile_arrays(prof, els):
+    """The array form against the pair counter: ascending differences, their
+    counts, int64 below 2^63 and Python ints past it, both read-only."""
+    want = Counter(y - x for x, y in combinations(els, 2))
+    keys = sorted(want)
+    assert prof.n == len(els)
+    assert prof.differences.tolist() == keys
+    assert prof.counts.tolist() == [want[x] for x in keys]
+    wide = bool(keys) and keys[-1] >= 2**63
+    assert prof.differences.dtype == (object if wide else np.int64)
+    assert prof.counts.dtype == np.int64
+    assert not prof.differences.flags.writeable and not prof.counts.flags.writeable
+    assert prof.positive == want
+    assert list(prof.positive) == keys
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.integers(0, 70).flatmap(
+    lambda k: st.lists(st.integers(1, 2**k), min_size=0, max_size=80)),
+    st.integers(-2**80, 2**80))
+@example(gaps=[1] * 39, t=0)  # the bincount branch
+@example(gaps=[10**6] * 39, t=0)  # the sort branch
+@example(gaps=[3, 1, 1, 2, 7], t=-4)  # below _NUMPY_MIN_SIZE: the Counter
+@example(gaps=[1] * 31 + [2**62], t=-2**80)  # diameter 2^62: the Counter, int64
+@example(gaps=[1] * 31 + [2**63], t=5)  # diameter past 2^63: the Counter, object
+@example(gaps=[2**64, 1, 2**64], t=0)  # past 2^63 below _NUMPY_MIN_SIZE
+def test_profile_arrays_match_pair_counter(gaps, t):
+    els = tuple(x + t for x in accumulate([0] + gaps))
+    check_profile_arrays(difference_profile(els), els)
+
+
+def test_profile_arrays_are_read_only():
+    for els in ([0, 1, 3], range(40), [0, 2**64, 2**65]):
+        p = difference_profile(els)
+        for arr in (p.differences, p.counts):
+            with pytest.raises(ValueError):
+                arr[0] = 7
+        with pytest.raises(TypeError):
+            p.positive[1] = 7
+
+
+def test_profile_reads_at_every_range():
+    for p in (difference_profile([0, 1, 2]), difference_profile(range(40)),
+              difference_profile([0, 1, 2, 2**64])):
+        top = p.diameter
+        assert p.d(0) == p.n
+        with pytest.raises(ValueError):
+            p.d_plus(0)
+        for x in (1, 2, top - 1, top):
+            assert p.d(-x) == p.d(x) == p.d_plus(x) == p.positive.get(x, 0)
+        # above the diameter, and past 2^63 on an int64 profile: 0, no overflow
+        for x in (top + 1, 2**63 - 1, 2**63, 2**64 + 1, 2**200):
+            if x > top:
+                assert p.d_plus(x) == p.d(x) == p.d(-x) == 0
+    assert difference_profile([0, 1, 2]).differences.dtype == np.int64
+    assert difference_profile([5]).d_plus(2**70) == 0
+
+
+@pytest.mark.parametrize("base, a_new", [
+    ([0, 1, 3], 2**64),  # a Counter-route int64 profile, every lookup past the diameter
+    (list(range(40)), 2**63 + 5),  # the numpy route
+    ([0, 2**62, 2**63 - 1], 2**63 + 2**62 - 1),  # int64 up to 2^63 - 1: two lookups hit
+    ([0, 2**64, 2**65], 2**65 + 2**64),  # object differences: 2^65 and 2^64 hit
+    ([-2**70, 5], 2**70),
+])
+def test_incremental_past_2_63(base, a_new):
+    want = energy_oracle(base + [a_new])
+    assert incremental_energy_extend(base, energy_oracle(base), a_new) == want
+
+
+def test_profile_equality_and_json_round_trip():
+    for els in ([], [5], [0, 1, 2], [0, 3, 10**30], range(40), [0, 2**63, 2**64]):
+        p = difference_profile(els)
+        data = json.loads(json.dumps(p.to_json()))
+        assert [int(x) for x in data["positive"]] == p.differences.tolist()  # ascending
+        q = DifferenceProfile.from_json(data)
+        assert q == p and q.to_json() == p.to_json()
+        assert q.differences.dtype == p.differences.dtype
+    p = difference_profile([0, 1, 2])
+    assert p != difference_profile([0, 1, 3])
+    assert p != DifferenceProfile(4, p.differences, p.counts)
+    assert p != p.to_json() and p != p.positive
+    with pytest.raises(TypeError):
+        hash(p)
+
+
+def test_energy_from_profile_python_int_fallback():
+    # each square fits int64 but two overflow it; a square past 2^63; an
+    # object count: every sum is exact
+    c = 3_037_000_499  # c^2 < 2^63 < 2 c^2
+    for positive in ({"1": c}, {"1": c, "2": c}, {"1": 2**32}, {"1": 2**70, "5": 3}):
+        p = DifferenceProfile.from_json({"n": 9, "positive": positive})
+        counts = [int(v) for v in positive.values()]
+        assert energy_from_profile(p) == 81 + 2 * sum(v * v for v in counts)
+        assert p.total_pairs == sum(counts)
+    big = DifferenceProfile.from_json({"n": 9, "positive": {"1": 2**70}})
+    assert big.counts.dtype == object
+
+
+@pytest.mark.parametrize("positive", [
+    {"0": 2, "1": 1},  # difference 0
+    {"-4": 1, "2": 1},  # a negative difference
+    {"5": 0, "1": 3},  # a count of 0
+    {"1": -2},  # a negative count
+])
+def test_profile_from_json_rejects_non_positive(positive):
+    with pytest.raises(ValueError):
+        DifferenceProfile.from_json({"n": 3, "positive": positive})
 
 
 def test_energy_bounds_and_extremes():
