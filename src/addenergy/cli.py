@@ -50,6 +50,18 @@ def _mpf_str(x, digits: int = 50) -> str:
     return mpmath.nstr(x, digits, strip_zeros=False)
 
 
+def _fraction_str(fr, digits: int) -> str:
+    """``fr`` rounded to ``digits`` significant digits in ``_mpf_str``'s form.
+
+    The quotient is taken at the report precision of 100 digits, not at
+    mpmath's default 53 bits.  A fraction of denominator q is either a
+    rounding midpoint of ``digits`` digits or at least 1/(2q * 10^digits)
+    away from every one, so for q below 10^60 the rounding is exact.
+    """
+    with mpmath.workdps(groups.REPORT_DPS):
+        return _mpf_str(mpmath.mpf(fr.numerator) / fr.denominator, digits)
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -168,7 +180,7 @@ def _cmd_density_curve(args, out) -> int:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("k,alpha,delta,bound_gap\n")
             for pt in points:
-                fh.write(f"{pt.k},{_mpf_str(mpmath.mpf(pt.alpha.numerator) / pt.alpha.denominator, 30)},"
+                fh.write(f"{pt.k},{_fraction_str(pt.alpha, 30)},"
                          f"{_mpf_str(pt.delta, 30)},{_mpf_str(pt.bound_gap, 30)}\n")
     _emit({"n": args.n, "p": args.p, "points": rows}, out)
     return EXIT_OK

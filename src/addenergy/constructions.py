@@ -283,8 +283,10 @@ def build_with_target_energy(n: int, target: int, base: int = 10) -> BuildResult
     Deterministic first-fit over stages with the largest tail first: at each
     stage take the largest coarse energy not exceeding the target and check
     whether the remaining gap is a multiple of 4 within the stage's swap
-    budget.  Every returned witness is re-verified by direct counting; a miss
-    returns a ``reached=False`` result carrying the closest achieved value.
+    budget.  Targets run from 2n^2 - n up to max_energy(n), which stage 0,
+    the progression {1..n}, attains.  Every returned witness is re-verified
+    by direct counting; a miss returns a ``reached=False`` result carrying
+    the closest achieved value.
     """
     if n < MIN_BUILD_SIZE:
         raise ValueError(f"builder supports n >= {MIN_BUILD_SIZE}")
@@ -294,8 +296,8 @@ def build_with_target_energy(n: int, target: int, base: int = 10) -> BuildResult
     floor = 2 * n * n - n
     if target < floor:
         raise ValueError(f"no {n}-element set has energy below {floor}")
-    if target >= max_energy(n):
-        raise ValueError(f"targets at or above the progression maximum "
+    if target > max_energy(n):
+        raise ValueError(f"targets above the progression maximum "
                          f"{max_energy(n)} are out of range")
 
     best: tuple[int, int, int, int] | None = None  # (energy, j, k, swaps)

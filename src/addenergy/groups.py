@@ -9,10 +9,26 @@ Sidon factors with n-k full factors trades density against energy along the
 curve alpha ~ 1/(2 - delta), bounded by |A|^4 <= |A+A| * E(A).
 
 The profile is counted in numpy when |G| <= 2^62: each element is encoded as
-its flat mixed-radix index, pair sums are folded from per-coordinate modular
-sums (each below 2^63) into codes below |G|, and the codes are counted by
-``intset._pair_value_counts``.  Larger groups take an exact pure-Python pair
-loop.
+its flat mixed-radix index, and ``intset._pair_value_counts`` counts the full
+table of |A|^2 ordered pair sums by the first of its three exact kernels that
+fits:
+
+  * the FFT, where 0.6 * |G| log2 |G| + 2^14 < |A|^2 and |G| <= 2^22: rfftn
+    over the cyclic orders adds in the group with no padding, r = irfftn of
+    the squared transform, rounded to int64.  It runs only under the a priori
+    rounding bound 32 * u * |A| * sum of levels < 1/4 (Percival, Math. Comp.
+    72 (2003) 387-395; u = 2^-53, log2 m levels for an order m that is a power
+    of two, and for any other, which pocketfft may send through Bluestein's
+    algorithm, 3 (log2 m + 2) plus its largest prime factor), and the rounded
+    r is checked exactly: r >= 0, sum r = |A|^2, and r(x) odd iff an odd
+    number of a in A have 2a = x; a failed check is a RuntimeError;
+  * ``np.bincount`` of the codes, while |G| < min(1.5 * |A|^2, 8 * 10^6);
+  * else one sort of the codes, int32 while |G| <= 2^31, int64 past it.
+
+For the bincount and the sort, pair sums are folded from per-coordinate
+modular sums (each below 2^63) into codes below |G|.  Every r(x) <= |A| <=
+``GROUP_ENERGY_CAP``, so sum r^2 <= |A|^3 fits int64.  Groups past 2^62 take
+an exact pure-Python pair loop.
 """
 
 from __future__ import annotations
@@ -25,12 +41,13 @@ from itertools import product
 import mpmath
 import numpy as np
 
-from .intset import _as_intset, _distinct_counts, _pair_value_counts, energy_oracle
+from .intset import (_as_intset, _distinct_counts, _fft_counts, _pair_value_counts,
+                     energy_oracle)
 
 GROUP_ENERGY_CAP = 10_000
 # at or below this order, coordinate sums and flat codes of pair sums fit int64
 _FLAT_CODE_ORDER = 2**62
-_REPORT_DPS = 100
+REPORT_DPS = 100
 
 
 @dataclass(frozen=True)
@@ -91,28 +108,40 @@ def _check_size(a: GroupSet) -> None:
 def _flat_profile(a: GroupSet) -> tuple[np.ndarray, np.ndarray]:
     """Flat codes of the sums in A + A, ascending, and r(x) for each.
 
-    The code of x is its mixed-radix index, first coordinate most significant.
-    Requires group.order <= 2^62: residues are below m_c <= 2^62, so each
-    coordinate sum is below 2^63, and after folding in coordinate c the code
-    is below m_0 * ... * m_c <= order.  Each r(x) <= |A|.
+    The code of x is its mixed-radix index, first coordinate most significant,
+    which is also its place in the C-order flattening of an array shaped like
+    the group.  Requires group.order <= 2^62: residues are below m_c <= 2^62,
+    so each coordinate sum is below 2^63, and after folding in coordinate c
+    the code is below m_0 * ... * m_c <= order.  Each r(x) <= |A|.
+
+    The table is the full n^2 one, ordered pairs and doubles included, so on
+    the FFT route ``_fft_counts`` returns r itself: rfftn over the cyclic
+    orders adds in the group, with no padding, and the doubles' codes give
+    its parity check.
     """
     _check_size(a)
     orders = a.group.orders
     cols = np.array(sorted(a.elements), dtype=np.int64).reshape(-1, len(orders)).T
     n = cols.shape[1]
 
-    def rows(lo, hi):
-        code = np.zeros((hi - lo, n), dtype=np.int64)
-        s = np.empty_like(code)  # one buffer for every coordinate's sums
-        for x, m in zip(cols, orders):
+    def rows(lo, hi, dtype):
+        s = np.empty((hi - lo, n), dtype=np.int64)  # one buffer for every coordinate's sums
+        for c, (x, m) in enumerate(zip(cols, orders)):
             np.add(x[lo:hi, None], x[None, :], out=s)
             s %= m
-            code *= m
-            code += s
+            if c == 0:
+                code = s.astype(dtype)  # so each later order, m_c <= |G| / 2, fits dtype
+            else:
+                code *= m
+                code += s
         return code
 
-    # the full n^2 table keeps the cut-over bins < n^2
-    return _distinct_counts(*_pair_value_counts(n, n, a.group.order, n * n / 4, rows))
+    def convolve():
+        doubles = np.ravel_multi_index(tuple(2 * x % m for x, m in zip(cols, orders)), orders)
+        return _fft_counts(orders, np.ravel_multi_index(tuple(cols), orders), doubles)
+
+    return _distinct_counts(*_pair_value_counts(n, n, a.group.order, n * n, rows,
+                                                orders, convolve))
 
 
 def _loop_profile(a: GroupSet) -> dict:
@@ -254,7 +283,7 @@ class TradeoffPoint:
     bound_gap: mpmath.mpf
 
     def curve_value(self) -> mpmath.mpf:
-        with mpmath.workdps(_REPORT_DPS):
+        with mpmath.workdps(REPORT_DPS):
             return 1 / (2 - self.delta)
 
 
@@ -274,7 +303,7 @@ def tradeoff_point(k: int, n: int, p: int) -> TradeoffPoint:
     if size**4 > m**n * energy:
         raise RuntimeError("density bound violated; construction is wrong")
     alpha = Fraction(2 * n - k, 2 * n)
-    with mpmath.workdps(_REPORT_DPS):
+    with mpmath.workdps(REPORT_DPS):
         if energy == size**3:  # full-group endpoint: delta = 1 exactly
             delta = mpmath.mpf(1)
         else:

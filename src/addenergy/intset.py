@@ -31,11 +31,34 @@ that differ send the set to the Counter.  Only the time depends on the hash.
 ``DifferenceProfile`` is two read-only numpy arrays, the ascending distinct
 differences and their counts, and every reader (``energy_from_profile``, the
 ``searchsorted`` lookups of ``incremental_energy_extend``, ``to_json``) works
-on the arrays.  ``_pair_value_counts`` is the one rule the numpy routes (and
-the group sum profile) use to count a table of pair values: ``np.bincount``
-when the values span fewer than min(4 * pairs, ``_PAIR_BLOCK``) bins, else
-one in-place sort of the whole table, which for the integer routes holds the
-n(n-1)/2 unordered pairs.
+on the arrays.
+
+``_pair_value_counts`` is the one rule the numpy routes (and the group sum
+profile) use to count a table of P pair values in [0, bins), and it takes the
+first of three exact kernels that fits:
+
+  * the FFT, for dense tables, where 0.6 * L * log2(L) + 2^14 < P and L,
+    the transform length, is at most ``_FFT_LENGTH_CAP`` = 2^22: r = 1_A * 1_A
+    (or the correlation, for differences) by ``numpy.fft`` over the cyclic
+    group Z_L, L the power of two at least 2 * diameter + 1 for integers, so
+    nothing wraps, or over the group's own cyclic orders.  The cap keeps an
+    integer set at n <= diameter + 1 <= 2^21 (group sets stop at 10^4
+    elements), and its peak RSS at 32 bytes per point, 128 MB at the cap.
+    It is taken only while the a priori rounding bound of
+    ``_fft_error_bound`` (Percival, Math. Comp. 72 (2003) 387-395:
+    32 * u * n * log2(L) < 1/4, u = 2^-53, with Bluestein's transforms for
+    other orders counted apart) holds, so rounding gives r exactly; the
+    rounded r is then checked exactly all the same (``_fft_counts``);
+  * ``np.bincount``, in row blocks of at most ``_PAIR_BLOCK`` values, while
+    bins < min(1.5 * P, ``_PAIR_BLOCK`` = 8 * 10^6);
+  * else one in-place sort of the whole table, as int32 when every value
+    fits (bins <= 2^31: diameter <= 2^30 - 1 for sums, <= 2^31 - 1 for
+    differences) and as int64 past that.  The energy reads sum u^2 and
+    sum u(2x) from the sorted table itself; only profiles need its runs.
+
+Every count on these routes is exact int64: a table value lies below 2^63,
+each count below n^2, and each energy term below E <= n^3 < 2^63 for
+n < 2^21 (n <= 2^21 on the FFT route, where E <= max_energy(2^21) < 2^63).
 """
 
 from __future__ import annotations
@@ -43,7 +66,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
-from math import gcd
+from math import gcd, log2, prod
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -55,9 +78,21 @@ _INT64_SAFE = 2**62
 # below this size the pure-Python Counter path wins anyway
 _NUMPY_MIN_SIZE = 32
 # most pair values held at once on the bincount route, which a table takes only
-# when bins < min(4 * pairs, _PAIR_BLOCK), its count array rounded up to at most
-# 2^23 bins; also the most unordered pairs the hashed route sorts
+# when bins < min(_BINCOUNT_RATIO * pairs, _PAIR_BLOCK), its count array
+# rounded up to at most 2^23 bins; also the most unordered pairs the hashed
+# route sorts
 _PAIR_BLOCK = 8_000_000
+# bincount below this many bins per table value, the sort above it
+_BINCOUNT_RATIO = 1.5
+# the FFT where _FFT_COST * L * log2(L) + _FFT_FIXED < table values, L the
+# transform length; _FFT_FIXED is the FFT's cost per call (about 0.1 ms) in values
+_FFT_COST = 0.6
+_FFT_FIXED = 2**14
+# longest transform the FFT route takes: 2^22 points, at 32 bytes of peak RSS
+# each 128 MB; it keeps an integer set's n <= diameter + 1 <= 2^21
+_FFT_LENGTH_CAP = 2**22
+# the constant c of the a priori rounding bound c * u * n * levels < 1/4
+_FFT_ERROR = 32
 # the Mersenne prime 2^61 - 1: two residues sum below 2^62, inside int64
 _HASH_MODULUS = 2**61 - 1
 # two offsets below this bound sum below _HASH_MODULUS, so their hash is their sum
@@ -248,51 +283,189 @@ def _int64_safe(elements) -> bool:
     return elements[-1] - elements[0] < _INT64_SAFE
 
 
-def _pair_value_counts(n: int, width: int, bins: int, pairs: float,
-                       rows) -> tuple[np.ndarray | None, np.ndarray]:
-    """Count the values of an n-row table of ``pairs`` pair values.
+def _pair_value_counts(n: int, width: int, bins: int, pairs: int, rows,
+                       shape: tuple[int, ...], convolve
+                       ) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Count the values of an n-row table of ``pairs`` pair values in [0, bins).
 
-    ``rows(lo, hi)`` builds rows lo..hi-1 of the table as a new int64 array of
-    at most ``width`` values per row, each in [0, bins).  If bins < min(4 *
-    pairs, ``_PAIR_BLOCK``), ``np.bincount`` counts the table in blocks of
-    ``_PAIR_BLOCK // width`` rows, so at most ``_PAIR_BLOCK`` values, each
-    built inside the call that counts it and freed before the next, and the
-    result is (None, counts) with counts[v] the count of v, zeros included,
-    for v below len(counts) >= bins.  Else the whole table is sorted in place
-    and its runs are counted, so no second copy of it is made, and the result
-    is the distinct values, ascending, and their counts.  For a table of the
-    unordered pairs a < b the two tie near 4 * pairs bins (about 5 * 10^5
-    pairs at 2 * 10^6 bins, 2-core Xeon); a full n^2 table passes n^2 / 4.
-    The folded rows of ``_unordered_pairs`` hold at most n // 2 values, a
-    full n^2 table n.
+    The one rule every numpy count of pair values goes through.  It takes
+    the first of three exact kernels that fits:
 
-    The count array is rounded up to a power of two of bins, zeros past
-    ``bins``: sets of nearly equal span then ask for one size, so the block
-    one count frees is taken again by the next instead of the heap growing
-    past it.  Without the rounding, peak RSS over a run of such counts moved
-    by one count array (16 MB at 2 * 10^6 bins) with the spans' last digits.
+    1. The FFT, where the transform over the cyclic group of ``shape`` (of
+       L points) is short next to the table: ``_FFT_COST`` * L * log2(L) +
+       ``_FFT_FIXED`` < pairs, L <= ``_FFT_LENGTH_CAP`` and
+       ``_fft_error_bound`` < 1/4.  ``convolve()`` returns the counts.  On the 2-core Xeon an FFT count takes about
+       0.1 ms plus 1.5 ns per L log2(L) up to L = 2^16 and 3-5 ns past it,
+       and building and bincounting the table 3-5 ns per value, so for
+       integer sums the two tie at L log2(L) = 1.4 to 2.2 pairs (n = 500 to
+       3,000), and at 20,000 pairs for small L.
+    2. ``np.bincount``, where bins < min(``_BINCOUNT_RATIO`` * pairs,
+       ``_PAIR_BLOCK``), in blocks of ``_PAIR_BLOCK // width`` rows, so at
+       most ``_PAIR_BLOCK`` values, each built inside the call that counts
+       it and freed before the next.  The count array is rounded up to a
+       power of two of bins, zeros past ``bins``: sets of nearly equal span
+       then ask for one size, so the block one count frees is taken again by
+       the next instead of the heap growing past it.
+    3. Else the whole table is sorted in place, int32 when bins <= 2^31 and
+       int64 past it.  The int32 sort and the bincount of an unordered-pair
+       table tie at bins = 1.0 to 1.5 * pairs from n = 1,000 to 3,000
+       (2-core Xeon), and higher below, where the count array stays in
+       cache (2.5 at n = 500); but there either costs under 2 ms.
+
+    Either of the first two returns (counts, None) with counts[v] the count
+    of v, zeros included, for v below len(counts) >= bins; ``convolve()``
+    must return that array.  The sort returns (None, table), the sorted
+    table, of which the caller reads what it needs.
+
+    ``rows(lo, hi, dtype)`` builds rows lo..hi-1 of the table as a new array
+    of ``dtype`` with at most ``width`` values per row.  The folded rows of
+    ``_unordered_pairs`` hold at most n // 2 values, a full n^2 table n.
     """
-    if bins < min(4 * pairs, _PAIR_BLOCK):
+    length = prod(shape)
+    if (length <= _FFT_LENGTH_CAP
+            and _FFT_COST * length * log2(length) + _FFT_FIXED < pairs
+            and _fft_error_bound(n, shape) < 0.25):
+        return convolve(), None
+    if bins < min(_BINCOUNT_RATIO * pairs, _PAIR_BLOCK):
         step = max(1, _PAIR_BLOCK // width)
         bins = 1 << (bins - 1).bit_length()
-        counts = np.bincount(rows(0, min(n, step)).ravel(), minlength=bins)
+        counts = np.bincount(rows(0, min(n, step), np.int64).ravel(), minlength=bins)
         for lo in range(step, n, step):
-            counts += np.bincount(rows(lo, min(n, lo + step)).ravel(), minlength=bins)
-        return None, counts
-    s = rows(0, n).ravel()
-    s.sort()
-    starts = np.flatnonzero(_first_of_run(s))
-    return s[starts], np.diff(starts, append=s.size)
+            counts += np.bincount(rows(lo, min(n, lo + step), np.int64).ravel(),
+                                  minlength=bins)
+        return counts, None
+    table = rows(0, n, np.int32 if bins <= 2**31 else np.int64).ravel()
+    table.sort()
+    return None, table
 
 
-def _distinct_counts(values: np.ndarray | None,
-                     counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values, ascending, and their counts, from either result of
-    ``_pair_value_counts``."""
-    if values is None:
+def _fft_levels(m: int) -> float:
+    """Rounding levels of a length-m transform in ``_fft_error_bound``.
+
+    log2(m) for a power of two, Percival's radix-2 case.  Any other m is
+    either factored into passes of prime radix q, each summing q terms, or
+    sent by pocketfft through Bluestein's algorithm: three power-of-two
+    transforms of length below 4m with chirp products between them.
+    3 * (log2(m) + 2) + q, q the largest prime factor of m, bounds both.
+    """
+    if m & (m - 1) == 0:
+        return log2(m)
+    q, rest, d = 1, m, 2
+    while d * d <= rest:
+        while rest % d == 0:
+            q, rest = d, rest // d
+        d += 1
+    return 3 * (log2(m) + 2) + max(q, rest)
+
+
+def _fft_error_bound(n: int, shape: tuple[int, ...]) -> float:
+    """A priori bound on max |r~ - r| for the FFT counts of an n-set.
+
+    Percival (Math. Comp. 72 (2003) 387-395): a radix-2 convolution of x
+    and y of length 2^k, with twiddle factors exact to the unit roundoff
+    u = 2^-53, errs by at most ||x||_2 ||y||_2 * ((6 + 3 sqrt 5)k + sqrt 5) u
+    to first order, under 16 * u * k * ||x|| ||y||.  For an
+    indicator ||1_A||_2^2 = n.  A transform over several cyclic orders is one
+    per axis, so their levels (``_fft_levels``) add up; the constant 32
+    doubles Percival's for pocketfft's mixed radices and the higher-order
+    terms.  Below 1/4, ``np.rint`` gives every r(s) exactly.
+    """
+    return _FFT_ERROR * 2.0**-53 * n * sum(_fft_levels(m) for m in shape)
+
+
+def _fft_counts(shape: tuple[int, ...], codes: np.ndarray,
+                doubles: np.ndarray | None) -> np.ndarray:
+    """The exact pair counts of the n-set A whose flat C-order codes in an
+    array of ``shape`` are ``codes``, over the cyclic group of that shape,
+    flattened in C order as int64.
+
+    With ``doubles``, the flat codes of 2x for x in A, r(s) counts the
+    ordered pairs (x, y) with x + y = s (rfftn, the square, irfftn); without,
+    r(s) counts those with y - x = s (the squared modulus instead).  Taken
+    only under ``_fft_error_bound`` < 1/4, so rounding is exact; the rounded
+    r is still checked exactly: r >= 0 and sum r = n^2, and for sums r(s) is
+    odd iff an odd number of x in A have 2x = s (a pair x != y counts twice),
+    for differences (a 1-D ``shape``) r(0) = n and r(-s) = r(s).  A failed
+    check is a RuntimeError, never a fallback.  The indicator is freed once
+    transformed, so numpy holds two arrays of 8 bytes per point at once
+    (``tracemalloc``: 64 MB at L = 2^22), and with pocketfft's own buffers
+    the peak RSS grows by 32 bytes per point (128 MB).  ``numpy.fft`` is
+    imported here, on first use, so importing the package does not load it.
+    """
+    import numpy.fft as fft
+
+    n = codes.size
+    points = np.zeros(shape)
+    points.reshape(-1)[codes] = 1
+    axes = range(len(shape))
+    spectrum = fft.rfftn(points, axes=axes)
+    del points
+    spectrum *= spectrum if doubles is not None else spectrum.conj()
+    r = fft.irfftn(spectrum, shape, axes)
+    del spectrum
+    r = np.rint(r, out=r).astype(np.int64).ravel()
+    ok = r.min() >= 0 and int(r.sum()) == n * n
+    if doubles is None:
+        ok = ok and r[0] == n and np.array_equal(r[1:], r[:0:-1])
+    else:
+        odd = r & 1
+        np.bitwise_xor.at(odd, doubles, 1)
+        ok = ok and not odd.any()
+    if not ok:
+        raise RuntimeError(f"FFT pair counts of a {n}-element set failed their exact check")
+    return r
+
+
+def _transform_length(diameter: int) -> int:
+    """The power of two at least 2 * diameter + 1: sums and differences of
+    offsets in [0, diameter] then never wrap around Z_L."""
+    return 1 << (2 * diameter).bit_length()
+
+
+def _distinct_counts(counts: np.ndarray | None,
+                     table: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values, ascending, and their counts, both int64, from
+    either result of ``_pair_value_counts``."""
+    if table is None:
         values = np.flatnonzero(counts != 0)  # a bool scan is faster than an int64 one
-        counts = counts[values]
-    return values, counts
+        return values, counts[values]
+    starts = np.flatnonzero(_first_of_run(table))
+    return table[starts].astype(np.int64), np.diff(starts, append=table.size)
+
+
+def _square_runs(table: np.ndarray) -> int:
+    """Sum of k^2 over the runs of k equal values of a sorted array.
+
+    Sum k^2 = P + 2 * sum_{d >= 1} E_d over P values, with E_d the number of
+    places i where table[i] = table[i + d], the windows of d + 1 equal
+    values.  ``window`` marks them for one d at a time, and each step ANDs
+    it with the equal-neighbour mask, so two bool masks are all the memory
+    while windows are many.  Once fewer than P / 64 are left, or past d = 8,
+    the rest are indexed: a run of k > d values holds l = k - d consecutive
+    windows, and E_d + E_{d+1} + ... over it is l(l + 1) / 2.
+
+    On the sparse tables this route takes, a quarter of all neighbours can
+    be equal; index arrays over the runs of the whole table (10 MB at
+    1.1 * 10^6 values) grew the freed heap past glibc's trim threshold, so
+    that each later count faulted in fresh pages.
+    """
+    size = table.size
+    same = table[1:] == table[:-1]
+    window = same.copy()
+    total, d = size, 1
+    while d <= 8:
+        count = int(np.count_nonzero(window))
+        if count * 64 < size:
+            break
+        total += 2 * count
+        window = window[:-1]
+        np.logical_and(window, same[d:], out=window)
+        d += 1
+    at = np.flatnonzero(window)
+    if at.size:
+        lengths = np.diff(np.flatnonzero(np.diff(at, prepend=-2) != 1), append=at.size)
+        total += int(np.dot(lengths, lengths)) + at.size
+    return total
 
 
 def _unordered_pairs(arr: np.ndarray, op):
@@ -310,13 +483,14 @@ def _unordered_pairs(arr: np.ndarray, op):
     n = arr.size
     h = (n - 1) // 2
     half = n // 2 if n % 2 == 0 else 0
-    ring = sliding_window_view(np.concatenate([arr[1:], arr]), h)  # ring[i, j-1] = arr[(i+j) % n]
 
-    def rows(lo, hi):
+    def rows(lo, hi, dtype):
+        a = arr.astype(dtype, copy=False)
+        ring = sliding_window_view(np.concatenate([a[1:], a]), h)  # ring[i, j-1] = a[(i+j) % n]
         m, extra = hi - lo, max(0, min(hi, half) - lo)
-        out = np.empty(m * h + extra, dtype=np.int64)
-        op(ring[lo:hi], arr[lo:hi, None], out=out[:m * h].reshape(m, h))
-        op(arr[lo + half:lo + half + extra], arr[lo:lo + extra], out=out[m * h:])
+        out = np.empty(m * h + extra, dtype=dtype)
+        op(ring[lo:hi], a[lo:hi, None], out=out[:m * h].reshape(m, h))
+        op(a[lo + half:lo + half + extra], a[lo:lo + extra], out=out[m * h:])
         return out
 
     return rows
@@ -348,22 +522,31 @@ def _energy_numpy(elements: tuple[int, ...]) -> int:
     u(2x) + n, over the n(n-1)/2 unordered pair sums of the offsets.  Offsets
     lie in [0, 2^62), so pair sums lie in [0, 2^63) and take at most
     2*diameter + 1 values.  Each u(s) <= n/2, and every term of the identity
-    is at most E <= n^3, which fits int64 for n < 2^21.  On the bincount
-    branch u(2x) is read from the count array directly; on the sort branch
-    2x is looked up in the distinct sums, where 2*min lies below them all and
-    2*max above them all.
+    is at most E <= n^3, which fits int64 for n < 2^21.
+
+    On the FFT route r(s) = 2u(s) + [s/2 in A], checked odd exactly at the
+    doubles, so u = r >> 1.  With counts, u(2x) is read from them directly.
+    On the sort route sum u^2 is the sum of k^2 over the runs of k equal
+    sums (``_square_runs``), and u(2x) is the width of the run of 2x, found
+    by two ``searchsorted`` calls on the table.
     """
     arr = _offsets(elements)
     n = len(arr)
-    values, u = _pair_value_counts(n, n // 2, 2 * (elements[-1] - elements[0]) + 1,
-                                   n * (n - 1) // 2, _unordered_pairs(arr, np.add))
+    diameter = elements[-1] - elements[0]
     doubles = 2 * arr
-    if values is None:
-        on_doubles = u[doubles]
-    else:
-        i = np.minimum(np.searchsorted(values, doubles), values.size - 1)
-        on_doubles = u[i][values[i] == doubles]
-    return 4 * int(np.dot(u, u)) + 4 * int(on_doubles.sum()) + n
+    length = _transform_length(diameter)
+    pairs = n * (n - 1) // 2
+
+    def convolve():
+        return _fft_counts((length,), arr, doubles) >> 1
+
+    u, table = _pair_value_counts(n, n // 2, 2 * diameter + 1, pairs,
+                                  _unordered_pairs(arr, np.add), (length,), convolve)
+    if table is None:
+        return 4 * int(np.dot(u, u)) + 4 * int(u[doubles].sum()) + n
+    keys = doubles.astype(table.dtype)
+    on_doubles = table.searchsorted(keys, "right") - table.searchsorted(keys, "left")
+    return 4 * _square_runs(table) + 4 * int(on_doubles.sum()) + n
 
 
 def _energy_counter(elements: tuple[int, ...]) -> int:
@@ -470,14 +653,23 @@ def _positive_differences(elements: tuple[int, ...]) -> tuple[np.ndarray, np.nda
 
     Each of the n(n-1)/2 pairs a < b gives one difference |arr[b] - arr[a]|
     in (0, 2^62), so the table takes at most diameter values, and each count
-    is below n.  Returns the distinct differences, ascending, and their
+    is below n.  On the FFT route d+(x) is the correlation at x in [1,
+    diameter].  Returns the distinct differences, ascending, and their
     counts, both int64.
     """
     arr = _offsets(elements)
     n = len(arr)
+    diameter = elements[-1] - elements[0]
+    length = _transform_length(diameter)
+
+    def convolve():
+        d = _fft_counts((length,), arr, None)[:diameter + 1]
+        d[0] = 0
+        return d
+
     return _distinct_counts(*_pair_value_counts(
-        n, n // 2, elements[-1] - elements[0] + 1, n * (n - 1) // 2,
-        _unordered_pairs(arr, _absolute_difference)))
+        n, n // 2, diameter + 1, n * (n - 1) // 2,
+        _unordered_pairs(arr, _absolute_difference), (length,), convolve))
 
 
 def difference_profile(a) -> DifferenceProfile:
@@ -527,12 +719,14 @@ def affine_image(a, scale: int, shift: int) -> IntSet:
 def incremental_energy_extend(a, energy_a: int, a_new: int) -> int:
     """Energy after appending a_new > max(A), from the energy of A.
 
-    The increment is 4n + 4*sum(t_j) + 1 where t_j = d+(a_new - a_j) is read
-    from the difference profile of A.  Only a_new - a_j up to the diameter
-    can be a difference; those are looked up in the profile's arrays with one
-    ``searchsorted``, so no lookup value leaves their dtype, and the rest
-    count 0.  The profile is rebuilt on each call, so a call costs O(n^2),
-    not O(n).  Requires |A| >= 1.
+    The increment is 4n + 4*sum(t_j) + 1 where t_j = d+(a_new - a_j).  On the
+    Counter route of ``difference_profile`` (n < ``_NUMPY_MIN_SIZE`` or
+    diameter 2^62 or more) the t_j are read from a Counter of the
+    differences y - x, x < y, with no profile arrays built.  Otherwise only
+    a_new - a_j up to the diameter can be a difference; those are looked up
+    in the profile's arrays with one ``searchsorted``, so no lookup value
+    leaves their dtype, and the rest count 0.  The differences are recounted
+    on each call, so a call costs O(n^2), not O(n).  Requires |A| >= 1.
     """
     s = _as_intset(a)
     els = s.elements
@@ -540,9 +734,12 @@ def incremental_energy_extend(a, energy_a: int, a_new: int) -> int:
         raise ValueError("need a nonempty base set")
     if a_new <= els[-1]:
         raise ValueError("new element must exceed the current maximum")
-    prof = difference_profile(s)
-    near = els[bisect_left(els, a_new - (els[-1] - els[0])):]  # a_new - x <= diameter
-    t_sum = prof._sum_at([a_new - x for x in near])
+    if len(els) < _NUMPY_MIN_SIZE or not _int64_safe(els):
+        d_plus = Counter(y - x for x, y in combinations(els, 2))
+        t_sum = sum(d_plus[a_new - x] for x in els)
+    else:
+        near = els[bisect_left(els, a_new - (els[-1] - els[0])):]  # a_new - x <= diameter
+        t_sum = difference_profile(s)._sum_at([a_new - x for x in near])
     return energy_a + 4 * len(els) + 4 * t_sum + 1
 
 

@@ -3,14 +3,17 @@
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
+from addenergy import intset
 from addenergy.cli import main
 
 
@@ -121,6 +124,17 @@ def test_density_curve_schema(tmp_path):
     lines = csv_file.read_text().strip().splitlines()
     assert lines[0] == "k,alpha,delta,bound_gap"
     assert len(lines) == 6
+
+
+def test_density_curve_csv_alpha_is_exact(tmp_path):
+    # alpha = (2n - k) / 2n to 30 digits, every one right (5/6 was written
+    # as 0.833333333333333370340767487505 when divided at 53 bits)
+    csv_file = tmp_path / "curve.csv"
+    code, _ = run_cli(["density-curve", "--n", "3", "--p", "3", "--csv", str(csv_file)])
+    assert code == 0
+    alphas = [line.split(",")[1] for line in csv_file.read_text().splitlines()[1:]]
+    assert alphas == ["1.00000000000000000000000000000", "0.833333333333333333333333333333",
+                      "0.666666666666666666666666666667", "0.500000000000000000000000000000"]
 
 
 def test_verify_subcommand():
@@ -312,3 +326,115 @@ def test_construct_n400_stdout_pinned():
     assert payload["verified"] is True and len(payload["witness"]) == 400
     assert hashlib.sha256(out.encode()).hexdigest() \
         == "9f5699e80d53c56e0b4fcb7677d5679fc9a3260892e88ee275a59e3790d95be6"
+
+
+# ---------------------------------------------------------------------------
+# stdout on every counting kernel, pinned before the FFT and int32 sort
+# ---------------------------------------------------------------------------
+
+def kernel_cases(tmp_path):
+    """(name, kernel, argv): ``energy`` and ``profile`` on sets, and
+    ``product --oracle`` on factor files, that take each counting route."""
+    rng = random.Random(2026)
+    sets = [
+        ("counter", "counter", sorted(rng.sample(range(100), 20))),
+        ("bincount", "bincount", sorted(rng.sample(range(400), 40))),
+        ("fft", "fft", sorted(rng.sample(range(800), 400))),
+        ("sort", "sort", sorted(rng.sample(range(10**6), 300))),
+        ("sort64", "sort64", sorted(rng.sample(range(2**40), 40))),
+        ("hashed", "hashed", sorted(rng.getrandbits(70) for _ in range(40))),
+    ]
+    cases = []
+    for name, kernel, els in sets:
+        for command in ("energy", "profile"):
+            # past 2^62 a profile is counted by the Counter
+            route = "counter" if command == "profile" and kernel == "hashed" else kernel
+            cases.append((f"{command}-{name}", route,
+                          [command, "--set", ",".join(map(str, els))]))
+    products = [
+        ("fft", "fft", 48, (30, 30)),
+        ("bincount", "bincount", 48, (20, 20)),
+        ("sort", "sort", 48, (6, 6)),
+        ("sort64", "sort64", 10**7, (10, 10)),
+        ("hashed", "hashed", 2**40, (4, 4, 4)),
+    ]
+    for name, kernel, alphabet, sizes in products:
+        paths = []
+        for j, size in enumerate(sizes):
+            path = tmp_path / f"{name}-{j}.json"
+            path.write_text(json.dumps([str(x) for x in rng.sample(range(alphabet), size)]))
+            paths.append(str(path))
+        cases.append((f"product-{name}", kernel, ["product", "--factors", ",".join(paths),
+                                                  "--alphabet", str(alphabet), "--oracle"]))
+    return cases
+
+
+# sha256 of stdout, taken from the code before the FFT and int32 sort
+KERNEL_STDOUT_SHA256 = {
+    "energy-counter": "538e58f10a6484069c40f18c4331433ee1e3aebfe1514db2fe001932c2e2f300",
+    "profile-counter": "c9ae2c419080f7913d3d8736155df5fcff95ac01285e571bcb86529ebb8f9d8e",
+    "energy-bincount": "9102475d3e1c356d6651ed9e9dc5643e9a3f7ffd92ce248c7878b359cd11cbc5",
+    "profile-bincount": "b8df07d6d51383fbea3dcd8b074a536acaa2853eec22fbf72a314f0221849216",
+    "energy-fft": "1efc3cd97552444a0fb280a91ea9395bdff7dc126a615739df75f245b059c027",
+    "profile-fft": "412c5c6c009d86d7c4357b4256e3025f730761049d66a5853f82bc37de4c7e7d",
+    "energy-sort": "47b4878a5d767f431e377871c4ab7e693a040b0af467a0c3f17506aaececa6cb",
+    "profile-sort": "f4f2d328c048364ab2fe1d0818b79bc1cc3dc7ca1dd4e51c0feeb1c59b65b5be",
+    "energy-sort64": "7763e4d71ed004d1dacccb9685ba8a90573d4df022ad7b47bd1ba94f7b39f2f7",
+    "profile-sort64": "0f1382f59781d97c3618141f37c72622485f7fb3ca595f031d2c3400a4f08ea9",
+    "energy-hashed": "7763e4d71ed004d1dacccb9685ba8a90573d4df022ad7b47bd1ba94f7b39f2f7",
+    "profile-hashed": "2aab7439edba8fea0c5db00c06ec5edf3f5616b1d3bb95a7b3efd4e715c7b404",
+    "product-fft": "21a933d5226871e567a05b371a5ea891520a9bcddb6065b7a5fadef629f5f4ce",
+    "product-bincount": "3c7cf6d96f9f2281d6e3b8deddd242d387ac06d42acf6ae48f10c3caaa018364",
+    "product-sort": "ccdb3e1d86e2c7599fd11e0b632df725a4e09aa6f4d460acbd58528ce24b313d",
+    "product-sort64": "d332adc17e3eb47b33e87d34d4cfbc4730022c262561bd942cd4ee7a26cd3355",
+    "product-hashed": "0ffb912cc8795578b2c371583651a9bc9f3f0ccbe8d26633b1da2c3e7837a487",
+}
+
+
+def record_kernels(monkeypatch):
+    """The kernel of each count of more than 31 elements: "counter" or
+    "hashed" past 2^62, else "fft", "bincount", "sort" (int32) or "sort64"."""
+    routes = []
+    real_counts, real_hashed = intset._pair_value_counts, intset._energy_hashed
+
+    def counts_spy(n, width, bins, pairs, rows, shape, convolve):
+        def fft():
+            routes.append("fft")
+            return convolve()
+
+        counts, table = real_counts(n, width, bins, pairs, rows, shape, fft)
+        if table is not None:
+            routes.append("sort" if table.dtype == np.int32 else "sort64")
+        elif routes[-1:] != ["fft"]:
+            routes.append("bincount")
+        return counts, table
+
+    def hashed_spy(offsets):
+        routes.append("hashed")
+        return real_hashed(offsets)
+
+    monkeypatch.setattr(intset, "_pair_value_counts", counts_spy)
+    monkeypatch.setattr(intset, "_energy_hashed", hashed_spy)
+    return routes
+
+
+def test_stdout_pinned_on_every_kernel(tmp_path, monkeypatch):
+    routes = record_kernels(monkeypatch)
+    for name, kernel, argv in kernel_cases(tmp_path):
+        routes.clear()
+        code, out = run_cli(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == KERNEL_STDOUT_SHA256[name], name
+        # a product also counts its factors, each below 32 elements
+        assert set(routes) == ({kernel} - {"counter"}), name
+
+
+def test_import_does_not_load_numpy_fft():
+    # numpy.fft is imported on the FFT route's first use, so start-up and the
+    # counts that never take it do not pay for it
+    probe = ("import sys, io, addenergy.cli as c; "
+             "c.main(['energy', '--set', ','.join(map(str, range(0, 80, 3)))], out=io.StringIO()); "
+             "print('numpy.fft' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "False\n"

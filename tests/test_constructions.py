@@ -1,5 +1,6 @@
 """Shifted progressions, staged sets, swaps, and the target-energy builder."""
 
+import json
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from addenergy import (
     staged_set,
     tail_contribution,
 )
-from addenergy import constructions
+from addenergy import cli, constructions
 
 
 def random_lacunary(rng, size, ratio_hi=15):
@@ -259,7 +260,18 @@ def test_builder_preconditions():
     with pytest.raises(ValueError):
         build_with_target_energy(20, 776)  # below the minimum 780
     with pytest.raises(ValueError):
-        build_with_target_energy(20, max_energy(20))  # progression case excluded
+        build_with_target_energy(20, max_energy(20) + 4)  # above the progression maximum
+
+
+@pytest.mark.parametrize("n", [12, 20, 40])
+def test_builder_accepts_the_progression_maximum(n, capsys):
+    # max_energy(n) is attained, by {1..n}, stage j = 0 with no shift or swap
+    res = build_with_target_energy(n, max_energy(n))
+    assert res.reached and res.energy == max_energy(n)
+    assert res.witness == IntSet(range(1, n + 1)) and (res.j, res.k, res.swaps) == (0, 0, 0)
+    assert cli.main(["construct", "--n", str(n), "--target", str(max_energy(n))]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verified"] and payload["witness"] == [str(x) for x in range(1, n + 1)]
 
 
 def test_last_stage_is_the_floor():

@@ -26,7 +26,7 @@ from addenergy import (
     sumset,
     tradeoff_point,
 )
-from addenergy import groups
+from addenergy import groups, intset
 
 
 def random_group_set(rng, max_factors=3, max_order=9, max_size=20):
@@ -101,7 +101,8 @@ def test_group_profiles_match_pair_loop(a):
 
 
 def record_group_routes(monkeypatch):
-    """Record each group profile's route: bincount, sort, or the pair loop."""
+    """Record each group profile's route: bincount, the FFT, "sort" or
+    "sort64" for a table sorted as int32 or int64, or the pair loop."""
     routes = []
     real_bincount = np.bincount
     real_counts = groups._pair_value_counts
@@ -113,10 +114,11 @@ def record_group_routes(monkeypatch):
 
     def counts_spy(*args):
         before = len(routes)
-        out = real_counts(*args)
+        counts, table = real_counts(*args)
         if len(routes) == before:
-            routes.append("sort")
-        return out
+            routes.append("fft" if table is None
+                          else "sort" if table.dtype == np.int32 else "sort64")
+        return counts, table
 
     def loop_spy(a):
         routes.append("loop")
@@ -128,23 +130,72 @@ def record_group_routes(monkeypatch):
     return routes
 
 
-@pytest.mark.parametrize("orders, min_size, route", [
-    ((7, 7, 7), 19, "bincount"),  # order 343 < 19^2
-    ((2, 4, 6), 13, "bincount"),  # 2-torsion, order 48 < 13^2
-    ((3001, 3001), 1, "sort"),  # order above _PAIR_BLOCK
+@pytest.mark.parametrize("orders, size, route", [
+    ((7, 7, 7), 19, "bincount"),  # 343 < 1.5 * 19^2, and 19^2 below the FFT cut
+    ((2, 4, 6), 13, "bincount"),  # 2-torsion, 48 < 1.5 * 13^2
+    ((3001, 3001), 1, "sort"),  # order above _PAIR_BLOCK: an int32 table
     ((2**31 + 11, 2**31 + 11), 0, "loop"),  # order above 2^62
+    # Z_7^3: the sort iff 343 >= 1.5 * n^2 ordered pairs, so up to n = 15;
+    # the FFT iff 0.6 * 343 * log2(343) + 2^14 = 18,117 < n^2, so from n = 135
+    ((7, 7, 7), 15, "sort"),
+    ((7, 7, 7), 16, "bincount"),
+    ((7, 7, 7), 134, "bincount"),
+    ((7, 7, 7), 135, "fft"),
+    ((2, 4, 6), 5, "sort"),  # 48 >= 1.5 * 25
+    ((2, 4, 6), 6, "bincount"),  # 48 < 1.5 * 36; the FFT would need n^2 > 16,545
+    ((65537, 65537), 3, "sort64"),  # codes past 2^31: an int64 table
 ])
-def test_group_profile_routes(monkeypatch, orders, min_size, route):
+def test_group_profile_routes(monkeypatch, orders, size, route):
     routes = record_group_routes(monkeypatch)
 
-    @settings(derandomize=True, deadline=None, max_examples=15)
-    @given(group_sets(st.just(orders), min_size=min_size))
+    @settings(derandomize=True, deadline=None, max_examples=5)
+    @given(group_sets(st.just(orders), min_size=size, max_size=size))
     def check(a):
         routes.clear()
         check_against_pair_loop(a)
         assert set(routes) == {route}
 
     check()
+
+
+@pytest.mark.parametrize("constants, label", [
+    ({"_FFT_COST": 0, "_FFT_FIXED": -1}, "fft"),
+    ({"_FFT_COST": float("inf"), "_BINCOUNT_RATIO": float("inf")}, "bincount"),
+    ({"_FFT_COST": float("inf"), "_BINCOUNT_RATIO": 0}, "sort"),
+])
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(a=group_sets(st.sampled_from([(7, 7, 7), (2, 4, 6)]), min_size=1, max_size=60))
+def test_each_kernel_matches_pair_loop(constants, label, a):
+    # each kernel of _pair_value_counts, forced by its cost constants, on a
+    # group of odd order and on one with 2-torsion, where doubles collide
+    with pytest.MonkeyPatch.context() as mp:
+        routes = record_group_routes(mp)
+        for name, value in constants.items():
+            mp.setattr(intset, name, value)
+        check_against_pair_loop(a)
+    assert set(routes) == {label}
+
+
+def test_corrupted_group_fft_counts_raise(monkeypatch):
+    # half of Z_7^3: 172^2 ordered pairs take the FFT
+    spec = GroupSpec((7, 7, 7))
+    a = GroupSet.of(spec, list(spec.elements())[::2])
+    routes = record_group_routes(monkeypatch)
+    want = group_energy(a)
+    assert routes == ["fft"]
+    real = np.fft.irfftn
+
+    def irfftn(*args, **kwargs):
+        r = real(*args, **kwargs)
+        r.flat[1] += 1
+        r.flat[2] -= 1
+        return r
+
+    monkeypatch.setattr(np.fft, "irfftn", irfftn)
+    with pytest.raises(RuntimeError, match="exact check"):
+        group_energy(a)
+    monkeypatch.setattr(np.fft, "irfftn", real)
+    assert group_energy(a) == want == sum(r * r for r in brute_profile(a).values())
 
 
 def test_group_spec_validation():

@@ -22,7 +22,7 @@ from addenergy import (
     max_energy,
     normalize,
 )
-from addenergy import constructions, intset
+from addenergy import cli, constructions, intset
 from addenergy.intset import _HASH_MODULUS, _energy_counter, _energy_numpy, _int64_safe
 
 
@@ -183,8 +183,8 @@ def test_numpy_and_python_paths_agree():
 def record_routes(monkeypatch):
     """Record every counting route a count takes: "counter" and "hashed" for
     ``_energy_counter`` and ``_energy_hashed``, "numpy" for ``_energy_numpy``,
-    then each ``np.bincount`` block, or one "sort" for a table counted by
-    sorting."""
+    then each ``np.bincount`` block, or one "fft" for a table counted by the
+    FFT, "sort" or "sort64" for one sorted as int32 or int64."""
     routes = []
     real_bincount = np.bincount
 
@@ -197,10 +197,11 @@ def record_routes(monkeypatch):
 
     def counts_spy(*args):
         before = len(routes)
-        out = real_counts(*args)
+        counts, table = real_counts(*args)
         if len(routes) == before:
-            routes.append("sort")
-        return out
+            routes.append("fft" if table is None
+                          else "sort" if table.dtype == np.int32 else "sort64")
+        return counts, table
 
     monkeypatch.setattr(intset, "_pair_value_counts", counts_spy)
     real_numpy = intset._energy_numpy
@@ -226,7 +227,7 @@ def test_int64_boundary_routes(monkeypatch):
     routes = record_routes(monkeypatch)
     cases = [
         (IntSet(range(31)), ["counter"]),
-        (IntSet(list(range(40)) + [2**62 - 1]), ["numpy", "sort"]),
+        (IntSet(list(range(40)) + [2**62 - 1]), ["numpy", "sort64"]),
         # 2^62 = 2P + 2 hashes like 2, so (0, 2^62) meets (1, 1): the Counter
         (IntSet(list(range(40)) + [2**62]), ["hashed", "counter"]),
         (IntSet(list(range(40)) + [2**62 + 2**40]), ["hashed"]),
@@ -236,6 +237,9 @@ def test_int64_boundary_routes(monkeypatch):
         (IntSet(2**70 * i for i in range(40)), ["hashed"]),
         (IntSet(2**70 * i + 3 for i in range(40)), ["hashed"]),
         (IntSet([2 * i for i in range(40)] + [2**63 + 2**41]), ["hashed"]),
+        # sums of offsets up to 2^30 - 1 fit int32, one more does not
+        (IntSet(list(range(40)) + [2**30 - 1]), ["numpy", "sort"]),
+        (IntSet(list(range(40)) + [2**30]), ["numpy", "sort64"]),
     ]
     for a, want in cases:
         by_profile = energy_from_profile(difference_profile(a))
@@ -246,10 +250,10 @@ def test_int64_boundary_routes(monkeypatch):
 
 
 def test_bincount_unique_boundary(monkeypatch):
-    # n = 32: bincount iff 2 * diameter + 1 < 4 * 496 unordered pairs = 1984,
-    # else sort
+    # n = 32: bincount iff 2 * diameter + 1 < 1.5 * 496 unordered pairs = 744,
+    # else the int32 sort
     routes = record_routes(monkeypatch)
-    for top, want in ((991, "bincount"), (992, "sort")):
+    for top, want in ((371, "bincount"), (372, "sort")):
         a = IntSet(list(range(31)) + [top])
         by_profile = energy_from_profile(difference_profile(a))
         routes.clear()
@@ -257,13 +261,29 @@ def test_bincount_unique_boundary(monkeypatch):
         assert routes == ["numpy", want]
 
 
+def test_fft_boundary(monkeypatch):
+    # diameter 511 transforms over L = 1,024 points: the FFT iff
+    # 0.6 * 1,024 * 10 + 2^14 = 22,528 < n(n-1)/2, so from n = 213 (22,578
+    # pairs) but not at n = 212 (22,366); at diameter 512, L = 2,048 and the
+    # cut rises to 29,901 pairs
+    routes = record_routes(monkeypatch)
+    for n, top, want in ((212, 511, "bincount"), (213, 511, "fft"), (213, 512, "bincount")):
+        a = IntSet(list(range(n - 1)) + [top])
+        by_profile = energy_from_profile(difference_profile(a))
+        assert routes[-1] == want  # the profile's table has the same size and L
+        routes.clear()
+        assert energy_oracle(a) == by_profile == _energy_counter(a.elements)
+        assert routes == ["numpy", want]
+
+
 def test_bincount_array_is_a_power_of_two():
-    # spans 1,027 and 2,001 ask for one count array, zeros past the largest sum
-    for top in (513, 1000):
+    # spans 601 and 1,001 ask for one count array, zeros past the largest sum
+    for top in (300, 500):
         arr = np.array(list(range(39)) + [top], dtype=np.int64)
-        values, counts = intset._pair_value_counts(40, 20, 2 * top + 1, 780,
-                                                   intset._unordered_pairs(arr, np.add))
-        assert values is None and counts.size == 2048
+        length = intset._transform_length(top)
+        counts, table = intset._pair_value_counts(
+            40, 20, 2 * top + 1, 780, intset._unordered_pairs(arr, np.add), (length,), None)
+        assert table is None and counts.size == 1024
         assert counts.sum() == 780 and not counts[top + 39:].any()
 
 
@@ -298,8 +318,10 @@ def test_unordered_pairs_in_row_blocks(n):
                      (intset._absolute_difference, pair_loop_differences(els))):
         rows = intset._unordered_pairs(arr, op)
         for step in range(1, n + 1):
-            blocks = [rows(lo, min(n, lo + step)) for lo in range(0, n, step)]
-            assert Counter(np.concatenate(blocks).tolist()) == want
+            for dtype in (np.int32, np.int64):
+                blocks = [rows(lo, min(n, lo + step), dtype) for lo in range(0, n, step)]
+                assert blocks[0].dtype == dtype
+                assert Counter(np.concatenate(blocks).tolist()) == want
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -366,6 +388,87 @@ def test_energy_numpy_matches_counter(els, scale, shift):
     # sort, where 2 * min lies below every unordered sum and 2 * max above
     a = tuple(scale * x + shift for x in els)
     assert _energy_numpy(a) == _energy_counter(a)
+
+
+# each kernel of _pair_value_counts, forced by its cost constants
+KERNELS = {
+    "fft": ({"_FFT_COST": 0, "_FFT_FIXED": -1}, "fft"),
+    "bincount": ({"_FFT_COST": float("inf"), "_BINCOUNT_RATIO": float("inf")}, "bincount"),
+    "sort": ({"_FFT_COST": float("inf"), "_BINCOUNT_RATIO": 0}, "sort"),
+}
+
+KERNEL_SETS = st.one_of(
+    # dense: n values in [0, 3n]
+    st.integers(32, 120).flatmap(
+        lambda n: st.lists(st.integers(0, 3 * n), min_size=n, max_size=n, unique=True)),
+    # progressions: the largest r, and every inner double hit
+    st.builds(lambda step, n: [step * i for i in range(n)],
+              st.integers(1, 1000), st.integers(32, 120)),
+    # base-3 digits 0 and 1: no double is a pair sum
+    st.builds(lambda n: [int(bin(i)[2:], 3) for i in range(n)], st.integers(32, 90)),
+    # sparse: gaps up to 2^k
+    st.integers(0, 16).flatmap(lambda k: st.lists(st.integers(1, 2**k), min_size=32,
+                                                  max_size=80).map(lambda g: list(accumulate(g)))),
+)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(els=KERNEL_SETS, shift=st.integers(-2**40, 2**40))
+def test_each_kernel_matches_counter_and_pair_loop(kernel, els, shift):
+    a = tuple(sorted(x + shift for x in els))
+    constants, label = KERNELS[kernel]
+    with pytest.MonkeyPatch.context() as mp:
+        routes = record_routes(mp)
+        for name, value in constants.items():
+            mp.setattr(intset, name, value)
+        e = _energy_numpy(a)
+        prof = difference_profile(a)
+    assert set(routes) == {label}
+    assert type(e) is int and e == _energy_counter(a) == literal_sum_energy(a)
+    assert prof.positive == pair_loop_differences(a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.integers(0, 50), st.integers(1, 40)), max_size=200),
+       st.sampled_from([np.int32, np.int64]))
+def test_square_runs_matches_counter(runs, dtype):
+    # runs of 1 to 40 equal values: few or many windows, and runs past d = 8
+    table = np.sort(np.array([v for v, k in runs for _ in range(k)], dtype=dtype))
+    got = intset._square_runs(table)
+    assert type(got) is int and got == sum(c * c for c in Counter(table.tolist()).values())
+
+
+def add_at(*changes):
+    """An ``irfftn`` that adds each (index, delta) to its output."""
+    real = np.fft.irfftn
+
+    def irfftn(*args, **kwargs):
+        r = real(*args, **kwargs)
+        for i, delta in changes:
+            r.flat[i] += delta
+        return r
+
+    return irfftn
+
+
+@pytest.mark.parametrize("changes", [
+    [(1, 1)],  # the mass is no longer n^2
+    [(4, 1), (6, -1)],  # the mass stays; a sum's parity or the mirror breaks
+    [(3, -1)],  # a sum no pair has: negative
+])
+def test_corrupted_fft_counts_raise(monkeypatch, capsys, changes):
+    # 300 even numbers: 44,850 pairs, over L = 2,048, take the FFT
+    a = IntSet(range(0, 600, 2))
+    routes = record_routes(monkeypatch)
+    monkeypatch.setattr(np.fft, "irfftn", add_at(*changes))
+    with pytest.raises(RuntimeError, match="exact check"):
+        energy_oracle(a)
+    with pytest.raises(RuntimeError, match="exact check"):
+        difference_profile(a)
+    assert routes == ["numpy"]  # both failed inside the FFT, with no fallback
+    assert cli.main(["energy", "--set", ",".join(map(str, a))]) == 4
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -503,10 +606,16 @@ def test_difference_profile_routes(monkeypatch):
     cases = [
         (range(31), []),  # below _NUMPY_MIN_SIZE: the Python branch
         ([2**64 + x for x in range(40)], ["bincount"]),
-        # n = 32: bincount iff diameter + 1 < 4 * 496 unordered pairs = 1984
-        (list(range(31)) + [1982], ["bincount"]),
-        (list(range(31)) + [1983], ["sort"]),
-        (list(range(39)) + [2**62 - 1], ["sort"]),
+        # n = 32: bincount iff diameter + 1 < 1.5 * 496 unordered pairs = 744
+        (list(range(31)) + [742], ["bincount"]),
+        (list(range(31)) + [743], ["sort"]),
+        # the FFT cut of test_fft_boundary
+        (list(range(211)) + [511], ["bincount"]),
+        (list(range(212)) + [511], ["fft"]),
+        # differences up to 2^31 - 1 fit int32, one more does not
+        (list(range(39)) + [2**31 - 1], ["sort"]),
+        (list(range(39)) + [2**31], ["sort64"]),
+        (list(range(39)) + [2**62 - 1], ["sort64"]),
         (list(range(39)) + [2**62], []),  # diameter 2^62: the Python branch
     ]
     for els, want in cases:
