@@ -140,6 +140,8 @@ def _flat_profile(a: GroupSet) -> tuple[np.ndarray, np.ndarray]:
         doubles = np.ravel_multi_index(tuple(2 * x % m for x, m in zip(cols, orders)), orders)
         return _fft_counts(orders, np.ravel_multi_index(tuple(cols), orders), doubles)
 
+    # all n^2 codes count, so bincount while |G| < 1.5 * n^2; how that cut
+    # fares on group tables is timed in the _pair_value_counts docstring
     return _distinct_counts(*_pair_value_counts(n, n, a.group.order, n * n, rows,
                                                 orders, convolve))
 

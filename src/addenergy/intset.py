@@ -294,11 +294,17 @@ def _pair_value_counts(n: int, width: int, bins: int, pairs: int, rows,
     1. The FFT, where the transform over the cyclic group of ``shape`` (of
        L points) is short next to the table: ``_FFT_COST`` * L * log2(L) +
        ``_FFT_FIXED`` < pairs, L <= ``_FFT_LENGTH_CAP`` and
-       ``_fft_error_bound`` < 1/4.  ``convolve()`` returns the counts.  On the 2-core Xeon an FFT count takes about
-       0.1 ms plus 1.5 ns per L log2(L) up to L = 2^16 and 3-5 ns past it,
-       and building and bincounting the table 3-5 ns per value, so for
-       integer sums the two tie at L log2(L) = 1.4 to 2.2 pairs (n = 500 to
-       3,000), and at 20,000 pairs for small L.
+       ``_fft_error_bound`` < 1/4.  ``convolve()`` returns the counts.  On
+       the 2-core Xeon an FFT count takes about 0.1 ms plus 1.5 ns per
+       L log2(L) up to L = 2^16 and 3-5 ns past it, and building and
+       bincounting the table 3-5 ns per value, so for integer sums the two
+       tie at L log2(L) = 1.2 to 2.2 pairs (n = 420 to 3,000), and at 20,000
+       pairs for small L.  The correlation of ``_positive_differences`` ties
+       with its bincount at L log2(L) = 1.5 to 2.4 pairs (n = 375 at
+       L = 2^13, 1,100 at 2^16, 2,900 at 2^19), so the one cut fits it too:
+       on 26 sets where it takes the FFT (L = 2^9 to 2^16, n = 200 to
+       1,600) the correlation took 0.07-3.0 ms, and the bincount 1.2 to 11
+       times as long.
     2. ``np.bincount``, where bins < min(``_BINCOUNT_RATIO`` * pairs,
        ``_PAIR_BLOCK``), in blocks of ``_PAIR_BLOCK // width`` rows, so at
        most ``_PAIR_BLOCK`` values, each built inside the call that counts
@@ -310,7 +316,15 @@ def _pair_value_counts(n: int, width: int, bins: int, pairs: int, rows,
        int64 past it.  The int32 sort and the bincount of an unordered-pair
        table tie at bins = 1.0 to 1.5 * pairs from n = 1,000 to 3,000
        (2-core Xeon), and higher below, where the count array stays in
-       cache (2.5 at n = 500); but there either costs under 2 ms.
+       cache (2.5 at n = 500); but there either costs under 2 ms.  A group
+       table of n^2 ordered pair codes ties differently: while |G| <= 10^4
+       the bincount won at every ratio measured (up to 3.4 bins per value;
+       the sort took 1.1 to 1.7 times as long in Z_7^3, Z_2 x Z_4 x Z_6 and
+       Z_101^2), and from |G| = 3 * 10^4 the sort won down to about 1.0
+       (Z_31^3 at n = 141 to 160, Z_1009^2 at n = 600 to 820: the bincount
+       took 1.2 to 1.45 times as long).  So the cut at 1.5 takes the faster
+       kernel on small groups, where the ratio 1.0 it replaced did not, and
+       the slower one on large groups between 1.0 and 1.5 bins per value.
 
     Either of the first two returns (counts, None) with counts[v] the count
     of v, zeros included, for v below len(counts) >= bins; ``convolve()``

@@ -130,11 +130,26 @@ def record_group_routes(monkeypatch):
     return routes
 
 
-@pytest.mark.parametrize("orders, size, route", [
-    ((7, 7, 7), 19, "bincount"),  # 343 < 1.5 * 19^2, and 19^2 below the FFT cut
-    ((2, 4, 6), 13, "bincount"),  # 2-torsion, 48 < 1.5 * 13^2
-    ((3001, 3001), 1, "sort"),  # order above _PAIR_BLOCK: an int32 table
+@pytest.mark.parametrize("orders, min_size, route", [
+    ((7, 7, 7), 19, "bincount"),  # 343 < 1.5 * n^2, and n^2 <= 40^2 below the FFT cut
+    ((2, 4, 6), 13, "bincount"),  # 2-torsion, 48 < 1.5 * n^2
+    ((3001, 3001), 1, "sort"),  # order above _PAIR_BLOCK and the FFT's cap: int32
     ((2**31 + 11, 2**31 + 11), 0, "loop"),  # order above 2^62
+])
+def test_group_profile_routes(monkeypatch, orders, min_size, route):
+    routes = record_group_routes(monkeypatch)
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(group_sets(st.just(orders), min_size=min_size))
+    def check(a):
+        routes.clear()
+        check_against_pair_loop(a)
+        assert set(routes) == {route}
+
+    check()
+
+
+@pytest.mark.parametrize("orders, size, route", [
     # Z_7^3: the sort iff 343 >= 1.5 * n^2 ordered pairs, so up to n = 15;
     # the FFT iff 0.6 * 343 * log2(343) + 2^14 = 18,117 < n^2, so from n = 135
     ((7, 7, 7), 15, "sort"),
@@ -145,10 +160,11 @@ def record_group_routes(monkeypatch):
     ((2, 4, 6), 6, "bincount"),  # 48 < 1.5 * 36; the FFT would need n^2 > 16,545
     ((65537, 65537), 3, "sort64"),  # codes past 2^31: an int64 table
 ])
-def test_group_profile_routes(monkeypatch, orders, size, route):
+def test_group_profile_cuts(monkeypatch, orders, size, route):
+    # sets of exactly the size on either side of each cut
     routes = record_group_routes(monkeypatch)
 
-    @settings(derandomize=True, deadline=None, max_examples=5)
+    @settings(derandomize=True, deadline=None, max_examples=15)
     @given(group_sets(st.just(orders), min_size=size, max_size=size))
     def check(a):
         routes.clear()
