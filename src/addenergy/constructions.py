@@ -100,7 +100,10 @@ def lacunary_swap(x, swaps: int) -> IntSet:
         raise ValueError(f"at most {len(els) // 3} swaps fit in {len(els)} elements")
     for i in range(1, swaps + 1):
         els[3 * i - 1] = 2 * els[3 * i - 2] - els[3 * i - 3]
-    return IntSet(els)
+    # still strictly ascending: x_{3i-2} < x_{3i-1} gives x_{3i-1} <
+    # 2x_{3i-1} - x_{3i-2}, and the ratio gives x_{3i+1} >= 10x_{3i} >
+    # 2x_{3i-1} - x_{3i-2}; x_{3i+1} opens the next block and is never replaced
+    return IntSet._from_sorted(tuple(els))
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +271,24 @@ def admissible_interval(n: int) -> tuple[int, int]:
 
 
 def _best_at_stage(n: int, j: int, target: int) -> tuple[int, int] | None:
-    """Largest coarse energy <= target at stage j, as (energy, k)."""
-    b = n - j
-    for k in _stage_shifts(b):
-        e = staged_energy(n, j, k)
-        if e <= target:
-            return e, k
-    return None
+    """Largest coarse energy <= target at stage j, as (energy, k).
+
+    C(j, k) strictly decreases over the shifts k = 0..max(0, b - 2)
+    (``dense_ceiling``, step 2), so the smallest k with C(j, k) <= target is
+    found by bisection.  k = 0 is tried first: the coarse ranges tile the
+    band upward as j falls (step 1), so every stage the builder meets before
+    the one whose range holds the target has its top C(j, 0) <= target.
+    """
+    top = staged_energy(n, j, 0)
+    if top <= target:
+        return top, 0
+    from bisect import bisect_left  # on first use, so importing the module adds nothing
+
+    shifts = _stage_shifts(n - j)
+    k = bisect_left(shifts, -target, 1, key=lambda k: -staged_energy(n, j, k))
+    if k == len(shifts):
+        return None
+    return staged_energy(n, j, k), k
 
 
 def build_with_target_energy(n: int, target: int, base: int = 10) -> BuildResult:
@@ -326,7 +340,9 @@ def build_with_target_energy(n: int, target: int, base: int = 10) -> BuildResult
 
     ss = staged_set(n, j, k, base)
     tail = lacunary_swap(LacunarySeq(ss.tail, base), swaps) if swaps else ss.tail
-    witness = IntSet(ss.body.elements + tail.elements)
+    # ascending: the tail, swapped or not, starts at a power of the base
+    # above base * max(body)
+    witness = IntSet._from_sorted(ss.body.elements + tail.elements)
     verified = energy_oracle(witness)
     if verified != achieved or len(witness) != n:
         raise RuntimeError(

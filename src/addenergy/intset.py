@@ -20,12 +20,15 @@ All arithmetic is exact.  Elements are arbitrary-precision Python ints.
     (``_energy_numpy``), which counts the n(n-1)/2 unordered pair sums u(s)
     through ``_pair_value_counts`` and applies the same identity;
   * diameter 2^62 or more: the offsets are hashed mod 2^61 - 1
-    (``_energy_hashed``) while their n(n+1)/2 unordered pairs fit
-    ``_PAIR_BLOCK``, and counted by the Counter past it.
+    (``_energy_hashed``) while n(n+1)/2 fits ``_PAIR_BLOCK``, and counted by
+    the Counter past it.  One sort of the n(n-1)/2 pair keys, each packed
+    with the count of its members at or past 2^60, gives the same identity.
 
-The hashed route is exact whatever the hash does: pairs with equal hashes are
-compared as Python ints unless their hash is provably their sum, and any two
-that differ send the set to the Counter.  Only the time depends on the hash.
+The hashed route is exact whatever the hash does: only keys that are not
+provably one true sum are checked, the true sums of their pairs (found by a
+two-sum over the sorted residues) are compared exactly, and a mismatch, or a
+residue shared by two offsets, sends the set to the Counter.  Only the time
+depends on the hash.
 ``difference_profile`` counts the differences y - x, x < y, in numpy below
 2^62 and by a Counter over ``combinations`` otherwise; either way a
 ``DifferenceProfile`` is two read-only numpy arrays, the ascending distinct
@@ -79,8 +82,8 @@ _INT64_SAFE = 2**62
 _NUMPY_MIN_SIZE = 32
 # most pair values held at once on the bincount route, which a table takes only
 # when bins < min(_BINCOUNT_RATIO * pairs, _PAIR_BLOCK), its count array
-# rounded up to at most 2^23 bins; also the most unordered pairs the hashed
-# route sorts
+# rounded up to at most 2^23 bins; the hashed route takes a set while
+# n(n+1)/2 fits it
 _PAIR_BLOCK = 8_000_000
 # bincount below this many bins per table value, the sort above it
 _BINCOUNT_RATIO = 1.5
@@ -97,6 +100,8 @@ _FFT_ERROR = 32
 _HASH_MODULUS = 2**61 - 1
 # two offsets below this bound sum below _HASH_MODULUS, so their hash is their sum
 _HASH_EXACT = 2**60
+# the modulus of packed keys h << 2 | wide
+_PACKED_MODULUS = 4 * _HASH_MODULUS
 # largest set the O(n^4) quadruple count accepts
 _QUADRUPLE_CAP = 40
 
@@ -475,9 +480,11 @@ def _square_runs(table: np.ndarray) -> int:
         window = window[:-1]
         np.logical_and(window, same[d:], out=window)
         d += 1
+    del same
     at = np.flatnonzero(window)
     if at.size:
-        lengths = np.diff(np.flatnonzero(np.diff(at, prepend=-2) != 1), append=at.size)
+        starts = np.flatnonzero(np.diff(at) != 1) + 1
+        lengths = np.diff(starts, prepend=0, append=at.size)
         total += int(np.dot(lengths, lengths)) + at.size
     return total
 
@@ -577,50 +584,176 @@ def _energy_counter(elements: tuple[int, ...]) -> int:
             + len(elements))
 
 
+def _packed_sum(x, y, out):
+    """(x + y) mod 4P into ``out``, P = 2^61 - 1: the symmetric op of the
+    packed key table of ``_energy_hashed``."""
+    np.add(x, y, out=out)
+    np.subtract(out, _PACKED_MODULUS, out=out, where=out >= _PACKED_MODULUS)
+
+
 def _energy_hashed(offsets: tuple[int, ...]) -> int:
     """Sum-multiset count of sorted nonnegative offsets by hashed pair sums.
 
-    Each unordered pair i <= j, of weight 2 off the diagonal and 1 on it, gets
-    the key (h_i + h_j) mod P with h = offset mod P and P = 2^61 - 1, so keys
-    and their sums of two stay inside int64; the pairs are sorted by key.
+    The identity of ``_energy_counter``, E = 4 * sum u(s)^2 + 4 * sum_{x in A}
+    u(2x) + n, read from one sorted table.  An offset x has the residue
+    h = x mod P, P = 2^61 - 1, and is wide when x >= 2^60 (``_HASH_EXACT``).
+    It is packed as h << 2 | wide in uint64, and ``_unordered_pairs`` adds
+    the packed offsets of each pair a < b mod 4P, so an entry holds the key
+    (h_a + h_b) mod P in bits 2 and up and its count of wide members in bits
+    0-1.  One in-place sort orders the entries by key, and within a key the
+    narrow pairs first; the table is then shifted down to its keys.  A run
+    of k equal keys adds k^2 to sum u^2 (``_square_runs``), and u(2x) is the
+    width of the run of the key 2h mod P, found by ``searchsorted``.
 
-    Exactness: the key is a function of the true sum, so pairs with one sum
-    share a key and lie in one run of the sorted keys.  Conversely, offsets
-    below 2^60 are a prefix, and two of them sum below P, so their key is
-    their sum; every two neighbours with equal keys where either pair uses a
-    larger offset are compared as Python ints, ``_PAIR_BLOCK // n`` at a
-    time.  If all agree, each run is exactly one sum and E = sum of (weighted
-    run sum)^2, an int64 because E <= n^3; the first block with a mismatch
+    Exactness is a proof, not a probability.  The key is a function of the
+    true sum, so the pairs of one sum lie in one run, and the count is exact
+    once each run holds one sum and the run of each double holds 2x or
+    nothing.  Two offsets below 2^60 sum below P, so a narrow pair's key is
+    its true sum, and so is the key of a narrow offset's double.  So only
+    two kinds of key are checked:
+
+      * a key shared by two entries of which one is wide (its run then ends
+        on a wide entry, which is what the mask reads);
+      * the key of a double whose run is not empty, where the double or the
+        run's last pair is wide.
+
+    ``_hashed_sums_agree`` finds the pairs with a wide member of each
+    checked key, by a two-sum over the sorted residues (or a scan of rows
+    when the keys outnumber the offsets), and compares their
+    true sums exactly with each other, with the key where the run also holds
+    narrow pairs, and with the double 2x that hit the run.  Any mismatch
     sends the offsets to ``_energy_counter``.  The answer never depends on
     the hash, only the time does.
 
-    Peak memory is about 35 bytes per unordered pair, whether few neighbours
-    are compared (random offsets) or nearly all (an arithmetic progression of
-    wide step): 280 MB at n = 3,999, the largest set within ``_PAIR_BLOCK``
-    (``tracemalloc``).
+    A set with a repeated residue goes to the Counter before any table is
+    built: if h_x = h_y for x != y, then for any third offset z the pairs
+    (x, z) and (y, z) share a key while their true sums differ, and x - y is
+    a nonzero multiple of P, so one of x, y is wide and the check would
+    fail.  Powers of two from 2^61 on are such sets (2^61 = 1 mod P).
+
+    Peak memory (``tracemalloc``, n = 1,000 and 2,500) is about 12 bytes
+    per unordered pair on random 70-bit offsets and 26 on a progression of
+    step 2^100 + 1, where every key is checked: the 8-byte table, bool masks
+    over it, and in ``_square_runs`` the index of every window past d = 8.
     """
     n = len(offsets)
-    h = np.array([x % _HASH_MODULUS for x in offsets], dtype=np.int64)
-    i, j = (t.astype(np.int32) for t in np.triu_indices(n))
-    key = h[i]
-    key += h[j]
-    np.subtract(key, _HASH_MODULUS, out=key, where=key >= _HASH_MODULUS)
-    order = np.argsort(key)
-    first = _first_of_run(key[order])
-    i, j = i[order], j[order]
-    del key, order  # the sorted run mask and pairs are all that is read below
-    wide = j >= bisect_left(offsets, _HASH_EXACT)  # j >= i: j holds the larger offset
-    check = ~first[1:] & (wide[:-1] | wide[1:])
-    o = np.array(offsets, dtype=object)
-    step = _PAIR_BLOCK // n
-    for lo in range(0, check.size, step):
-        k = lo + np.flatnonzero(check[lo:lo + step])
-        if not np.array_equal(o[i[k]] + o[j[k]], o[i[k + 1]] + o[j[k + 1]]):
-            return _energy_counter(offsets)
-    del check, wide  # 2 bytes per pair off the peak of the count below
-    weight = 2 - (i == j).view(np.int8)
-    r = np.add.reduceat(weight, np.flatnonzero(first), dtype=np.int64)
-    return int(np.dot(r, r))
+    h = np.array([x % _HASH_MODULUS for x in offsets], dtype=np.uint64)
+    order = h.argsort()
+    residues = h[order]
+    if (residues[1:] == residues[:-1]).any():
+        return _energy_counter(offsets)
+    narrow = bisect_left(offsets, _HASH_EXACT)  # offsets[narrow:] are wide
+    packed = h << 2
+    packed[narrow:] |= 1
+    table = _unordered_pairs(packed, _packed_sum)(0, n, np.uint64)
+    table.sort()
+    wide = (table.astype(np.uint8) & 3) != 0
+    table >>= 2
+    same = table[1:] == table[:-1]
+    ends = same & wide[1:]
+    ends[:-1] &= ~same[1:]  # the wide last entry of each shared run
+    del same
+    shared = table[1:][ends]
+    del ends
+    doubles = h << 1
+    np.subtract(doubles, _HASH_MODULUS, out=doubles, where=doubles >= _HASH_MODULUS)
+    lo = table.searchsorted(doubles, "left")
+    on_doubles = table.searchsorted(doubles, "right") - lo
+    checked = wide[lo + on_doubles - 1]  # the last pair of the run
+    checked[narrow:] = True
+    checked &= on_doubles > 0
+    keys = np.concatenate([shared, doubles[checked]])
+    keys.sort()
+    keys = keys[_first_of_run(keys)]
+    if keys.size and not _hashed_sums_agree(offsets, h, order, narrow, table, wide, keys,
+                                            np.flatnonzero(checked), doubles):
+        return _energy_counter(offsets)
+    del wide
+    return 4 * _square_runs(table) + 4 * int(on_doubles.sum()) + n
+
+
+def _hashed_sums_agree(offsets: tuple[int, ...], h: np.ndarray, order: np.ndarray,
+                       narrow: int, table: np.ndarray, wide: np.ndarray, keys: np.ndarray,
+                       checked: np.ndarray, doubles: np.ndarray) -> bool:
+    """Whether all pairs of each key in ``keys`` have one true sum, and the
+    double 2x of each offset in ``checked`` is the true sum of its key's run
+    (see ``_energy_hashed``).  ``table`` is the sorted key table, ``wide``
+    its mask of entries with a wide member, ``keys`` sorted and distinct,
+    ``doubles`` the keys of the doubles and ``h[order]`` the residues sorted.
+
+    A pair a, b of key K has the true sum K + P * t, with t = q_a + q_b +
+    [h_a + h_b >= P] and q = offset // P, so two pairs of one key have one
+    sum iff their t agree; t is an exact int64 while every q is below 2^62,
+    and a Python int past that.  A narrow pair has t = 0, and a run holds
+    one iff its first entry is narrow.  The pairs with a wide member come
+    from ``_wide_pairs_of``, a block at a time, and each t is compared with
+    the t of its run seen so far.
+    """
+    q = np.zeros(h.size, dtype=np.int64 if offsets[-1] // _HASH_MODULUS < 2**62 else object)
+    q[narrow:] = [x // _HASH_MODULUS for x in offsets[narrow:]]
+    run_t = np.zeros(keys.size, dtype=q.dtype)
+    known = ~wide[table.searchsorted(keys)]  # runs with a narrow pair: t = 0
+    for k, a, b in _wide_pairs_of(keys, h, order, narrow, max(1, table.size // 8)):
+        t = q[a] + q[b]
+        t += h[a] + h[b] >= _HASH_MODULUS
+        seen = known[k]
+        if (run_t[k[seen]] != t[seen]).any():
+            return False
+        run_t[k] = t  # one of each key's t; the rest must equal it
+        if (run_t[k] != t).any():
+            return False
+        known[k] = True
+    twice = 2 * q[checked] + (2 * h[checked] >= _HASH_MODULUS)
+    return bool((run_t[keys.searchsorted(doubles[checked])] == twice).all())
+
+
+def _wide_pairs_of(keys: np.ndarray, h: np.ndarray, order: np.ndarray, narrow: int,
+                   block: int):
+    """Every pair a < b of offsets with b >= ``narrow`` (b wide) whose key
+    (h_a + h_b) mod P is in the sorted ``keys``, once, in blocks of arrays
+    (k, a, b) with keys[k] its key; a block looks up about ``block`` values.
+
+    With fewer keys than offsets, by a two-sum over the residues sorted by
+    ``order``: for each key K and wide b, every a with h_a = (K - h_b) mod P
+    is a range of them, so a residue may repeat.  Otherwise the rows of
+    wide b are scanned, each key (h_a + h_b) mod P of a < b looked up in
+    ``keys``.  Either way costs the smaller of len(keys) and n lookups per
+    wide offset.
+    """
+    n = h.size
+    wide_h = h[narrow:]
+    if keys.size < n:
+        residues = h[order]
+        step = max(1, block // wide_h.size)
+        for lo in range(0, keys.size, step):
+            # want[b - narrow, j] = (K_j - h_b) mod P: each row ascends, but for one wrap
+            want = keys[lo:lo + step] + (_HASH_MODULUS - wide_h)[:, None]
+            np.subtract(want, _HASH_MODULUS, out=want, where=want >= _HASH_MODULUS)
+            want = want.ravel()
+            at = residues.searchsorted(want)
+            np.minimum(at, n - 1, out=at)
+            cells = np.flatnonzero(residues[at] == want)
+            first = at[cells]
+            count = residues.searchsorted(want[cells], "right") - first
+            cells = np.repeat(cells, count)
+            a = order[np.arange(cells.size) + np.repeat(first - np.cumsum(count) + count,
+                                                         count)]
+            b, k = np.divmod(cells, min(step, keys.size - lo))
+            b += narrow
+            keep = a < b
+            yield lo + k[keep], a[keep], b[keep]
+    else:
+        step = max(1, block // n)
+        for lo in range(narrow, n, step):
+            hi = min(n, lo + step)
+            rows = h[lo:hi, None] + h[:hi]
+            np.subtract(rows, _HASH_MODULUS, out=rows, where=rows >= _HASH_MODULUS)
+            k = keys.searchsorted(rows)
+            np.minimum(k, keys.size - 1, out=k)
+            hit = keys[k] == rows
+            hit &= np.arange(hi) < np.arange(lo, hi)[:, None]  # a < b
+            b, a = np.nonzero(hit)
+            yield k[b, a], a, b + lo
 
 
 def energy_oracle(a) -> int:
@@ -631,8 +764,10 @@ def energy_oracle(a) -> int:
     other energy route is checked against.  Sets of fewer than
     ``_NUMPY_MIN_SIZE`` elements go to ``_energy_counter``, the rest with
     diameter below 2^62 to ``_energy_numpy``.  Past 2^62 the offsets x - min
-    go to ``_energy_hashed`` while their n(n+1)/2 unordered pairs fit
-    ``_PAIR_BLOCK``, else to ``_energy_counter``.  Every route is exact.
+    go to ``_energy_hashed`` while n(n+1)/2 fits ``_PAIR_BLOCK`` (its table
+    holds the n(n-1)/2 pairs x < y), else to ``_energy_counter``; the hashed
+    route itself hands a set with a repeated residue mod 2^61 - 1, or with a
+    hash collision, to the Counter.  Every route is exact.
     """
     els = _as_intset(a).elements
     n = len(els)

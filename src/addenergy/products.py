@@ -92,9 +92,10 @@ def product_energy_oracle(p: ProductSet) -> int:
 
     The tuples become distinct carry-free integer codes, so the product's
     energy is ``energy_oracle`` of the codes.  Codes spanning 2^62 or more are
-    counted by hashed pair sums while their unordered pairs fit
-    ``intset._PAIR_BLOCK``, and by the pure-Python Counter past it; that
-    Counter is refused past ``_PAIR_CAP`` ordered pairs.
+    counted by one sort of hashed pair sums while n(n+1)/2 fits
+    ``intset._PAIR_BLOCK`` for n codes, and by the pure-Python Counter past
+    it, or where two codes share a residue mod 2^61 - 1 or a hash collides;
+    that Counter is refused past ``_PAIR_CAP`` ordered pairs.
     """
     codes = _encode(p)
     if p.size**2 > _PAIR_CAP and not _int64_safe(codes):

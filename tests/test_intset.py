@@ -562,16 +562,17 @@ def test_pair_block_caps_hashed_route(monkeypatch):
 
 @pytest.mark.parametrize("els, route", [
     # the two wide offsets hash like 2^59 and 3 * 2^59 + 77, so their pair
-    # hashes like (39, 39): the one neighbour compared is sorted pair 819
+    # has the key 78 of the double of 39, and its run holds that pair alone:
+    # the double is checked, and its true sum differs
     (list(range(40)) + [2 * _HASH_MODULUS + 2**59, 2 * _HASH_MODULUS + 3 * 2**59 + 77],
      ["hashed", "counter"]),
     ([2**70 * i for i in range(42)], ["hashed"]),
 ])
 def test_neighbour_check_in_slices(els, route, monkeypatch):
-    # 42 elements have 903 unordered pairs; blocks of 924 to 2,520 compare
-    # 22 to 60 neighbours at a time, so neighbour 819 lies past the first
-    # slice, and at step 41 it is the last of one; a set without a mismatch
-    # is compared across every slice
+    # 42 elements have 903 unordered pairs with the diagonal, so every
+    # _PAIR_BLOCK from 924 to 2,520 admits them to the hashed route, whose
+    # checks are sized by its own table: neither the count nor the route
+    # may depend on the cap, with a mismatch or without
     a = IntSet(els)
     want = _energy_counter(a.elements)
     routes = record_routes(monkeypatch)
@@ -580,6 +581,87 @@ def test_neighbour_check_in_slices(els, route, monkeypatch):
         routes.clear()
         assert energy_oracle(a) == want
         assert routes == route
+
+
+HASHED_EDGE_SETS = [
+    # repeated residues: x and x + kP hash alike, so (x, z) and (x + kP, z)
+    # share a key for every z, and the set goes to the Counter at once
+    (list(range(40)) + [_HASH_MODULUS + 7], ["hashed", "counter"]),
+    (list(range(40)) + [2**62, 2 * _HASH_MODULUS + 39], ["hashed", "counter"]),
+    (list(range(40)) + [2**70, 2**70 + 3 * _HASH_MODULUS], ["hashed", "counter"]),
+    # a wide pair in a run of narrow ones, whose key is no double:
+    # (1, P + 159) hashes like (2^5, 2^7)
+    ([2**i for i in range(40)] + [_HASH_MODULUS + 159], ["hashed", "counter"]),
+    # 2^60 - 1 is narrow: its pairs and its double are their own keys
+    (list(range(40)) + [2**60 - 1, 2**62 + 2**40], ["hashed"]),
+    # 2^60 is wide: its double 2^61 hashes like 1, the pair (0, 1)
+    (list(range(40)) + [2**60, 2**62 + 2**40], ["hashed", "counter"]),
+    # both sides of 2^60: pairs with d + d' = -1 sum to P, the key of the double of 0
+    ([0] + [2**60 + d for d in range(-20, 20)], ["hashed", "counter"]),
+    # the narrow double 2 (2^60 - 3) hits a run of one wide pair,
+    # (2^60 - 6 - 2^50, 2^60 + 2^50), and is its true sum: counted (the
+    # double of 39 hitting a wide pair of another sum is a case of
+    # test_neighbour_check_in_slices)
+    (list(range(40)) + [2**60 - 6 - 2**50, 2**60 - 3, 2**60 + 2**50], ["hashed"]),
+    # progressions of wide step: every key is shared and every run checked
+    ([2**70 * i for i in range(40)], ["hashed"]),
+    ([(2**100 + 1) * i for i in range(40)], ["hashed"]),
+    ([(_HASH_MODULUS + 1) * i for i in range(40)], ["hashed"]),
+    # lacunary swaps, as in the builder: few wide keys, found by the two-sum
+    (list(range(1, 20))
+     + list(constructions.lacunary_swap([10**(3 + i) for i in range(30)], 10)), ["hashed"]),
+]
+
+
+@pytest.mark.parametrize("els, route", HASHED_EDGE_SETS)
+def test_hashed_route_edge_sets(els, route, monkeypatch):
+    offsets = tuple(x - els[0] for x in els)
+    want = _energy_counter(offsets)
+    routes = record_routes(monkeypatch)
+    assert intset._energy_hashed(offsets) == want
+    assert routes == route
+
+
+def test_powers_of_two_repeat_residues(monkeypatch):
+    # powers of two are Sidon, of energy 2n^2 - n; 2^61 = 1 mod P, so from 62
+    # powers on two residues repeat and the set goes to the Counter before
+    # any table is built
+    routes = record_routes(monkeypatch)
+    real_pairs = intset._unordered_pairs
+
+    def pairs_spy(*args):
+        routes.append("table")
+        return real_pairs(*args)
+
+    monkeypatch.setattr(intset, "_unordered_pairs", pairs_spy)
+    for n in range(32, 131):
+        offsets = tuple(2**i - 1 for i in range(n))
+        routes.clear()
+        assert intset._energy_hashed(offsets) == 2 * n * n - n
+        assert routes == (["hashed", "table"] if n < 62 else ["hashed", "counter"])
+        assert energy_oracle([2**i for i in range(n)]) == 2 * n * n - n
+
+
+RESIDUES = st.sampled_from([0, 1, 2, 3, 5, 8, 2**60, _HASH_MODULUS - 2, _HASH_MODULUS - 1])
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.lists(RESIDUES, min_size=2, max_size=30), st.integers(0, 29), st.integers(1, 60),
+       st.integers(1, 40), st.randoms(use_true_random=False))
+def test_wide_pairs_of_matches_pair_loop(h, narrow, size, block, rnd):
+    # residues repeat, as the two-sum must allow; fewer keys than residues
+    # take the two-sum, the rest the scan of rows
+    n = len(h)
+    narrow = min(narrow, n - 1)
+    key_of = {(a, b): (h[a] + h[b]) % _HASH_MODULUS
+              for b in range(narrow, n) for a in range(b)}
+    pool = sorted(set(key_of.values()) | {4, 2**60 + 1})
+    keys = np.array(sorted(rnd.sample(pool, min(size, len(pool)))), dtype=np.uint64)
+    arr = np.array(h, dtype=np.uint64)
+    got = [(int(keys[k]), a, b) for block_arrays in intset._wide_pairs_of(
+        keys, arr, arr.argsort(), narrow, block) for k, a, b in zip(*map(list, block_arrays))]
+    want = [(key, a, b) for (a, b), key in key_of.items() if key in set(keys.tolist())]
+    assert sorted(got) == sorted(want)
 
 
 def pair_loop_differences(els):
