@@ -142,8 +142,8 @@ def _flat_profile(a: GroupSet) -> tuple[np.ndarray, np.ndarray]:
 
     # all n^2 codes count, so bincount while |G| < 1.5 * n^2; how that cut
     # fares on group tables is timed in the _pair_value_counts docstring
-    return _distinct_counts(*_pair_value_counts(n, n, a.group.order, n * n, rows,
-                                                orders, convolve))
+    return _distinct_counts(*_pair_value_counts(n, a.group.order, n * n, rows, orders,
+                                                convolve))
 
 
 def _loop_profile(a: GroupSet) -> dict:

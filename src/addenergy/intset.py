@@ -20,9 +20,9 @@ All arithmetic is exact.  Elements are arbitrary-precision Python ints.
     (``_energy_numpy``), which counts the n(n-1)/2 unordered pair sums u(s)
     through ``_pair_value_counts`` and applies the same identity;
   * diameter 2^62 or more: the offsets are hashed mod 2^61 - 1
-    (``_energy_hashed``) while n(n+1)/2 fits ``_PAIR_BLOCK``, and counted by
-    the Counter past it.  One sort of the n(n-1)/2 pair keys, each packed
-    with the count of its members at or past 2^60, gives the same identity.
+    (``_energy_hashed``), at any size.  One sort of the n(n-1)/2 pair keys,
+    each packed with the count of its members at or past 2^60, gives the
+    same identity.
 
 The hashed route is exact whatever the hash does: only keys that are not
 provably one true sum are checked, the true sums of their pairs (found by a
@@ -82,8 +82,7 @@ _INT64_SAFE = 2**62
 _NUMPY_MIN_SIZE = 32
 # most pair values held at once on the bincount route, which a table takes only
 # when bins < min(_BINCOUNT_RATIO * pairs, _PAIR_BLOCK), its count array
-# rounded up to at most 2^23 bins; the hashed route takes a set while
-# n(n+1)/2 fits it
+# rounded up to at most 2^23 bins
 _PAIR_BLOCK = 8_000_000
 # bincount below this many bins per table value, the sort above it
 _BINCOUNT_RATIO = 1.5
@@ -288,9 +287,8 @@ def _int64_safe(elements) -> bool:
     return elements[-1] - elements[0] < _INT64_SAFE
 
 
-def _pair_value_counts(n: int, width: int, bins: int, pairs: int, rows,
-                       shape: tuple[int, ...], convolve
-                       ) -> tuple[np.ndarray | None, np.ndarray | None]:
+def _pair_value_counts(n: int, bins: int, pairs: int, rows, shape: tuple[int, ...],
+                       convolve) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Count the values of an n-row table of ``pairs`` pair values in [0, bins).
 
     The one rule every numpy count of pair values goes through.  It takes
@@ -311,9 +309,10 @@ def _pair_value_counts(n: int, width: int, bins: int, pairs: int, rows,
        1,600) the correlation took 0.07-3.0 ms, and the bincount 1.2 to 11
        times as long.
     2. ``np.bincount``, where bins < min(``_BINCOUNT_RATIO`` * pairs,
-       ``_PAIR_BLOCK``), in blocks of ``_PAIR_BLOCK // width`` rows, so at
-       most ``_PAIR_BLOCK`` values, each built inside the call that counts
-       it and freed before the next.  The count array is rounded up to a
+       ``_PAIR_BLOCK``), in blocks of ``_PAIR_BLOCK // width`` rows, width =
+       ceil(pairs / n) the most values a row holds, so at most
+       ``_PAIR_BLOCK`` values, each built inside the call that counts it and
+       freed before the next.  The count array is rounded up to a
        power of two of bins, zeros past ``bins``: sets of nearly equal span
        then ask for one size, so the block one count frees is taken again by
        the next instead of the heap growing past it.
@@ -337,8 +336,8 @@ def _pair_value_counts(n: int, width: int, bins: int, pairs: int, rows,
     table, of which the caller reads what it needs.
 
     ``rows(lo, hi, dtype)`` builds rows lo..hi-1 of the table as a new array
-    of ``dtype`` with at most ``width`` values per row.  The folded rows of
-    ``_unordered_pairs`` hold at most n // 2 values, a full n^2 table n.
+    of ``dtype`` with at most ceil(pairs / n) values per row: the folded rows
+    of ``_unordered_pairs`` hold at most n // 2 values, a full n^2 table n.
     """
     length = prod(shape)
     if (length <= _FFT_LENGTH_CAP
@@ -346,7 +345,7 @@ def _pair_value_counts(n: int, width: int, bins: int, pairs: int, rows,
             and _fft_error_bound(n, shape) < 0.25):
         return convolve(), None
     if bins < min(_BINCOUNT_RATIO * pairs, _PAIR_BLOCK):
-        step = max(1, _PAIR_BLOCK // width)
+        step = max(1, _PAIR_BLOCK // -(-pairs // n))
         bins = 1 << (bins - 1).bit_length()
         counts = np.bincount(rows(0, min(n, step), np.int64).ravel(), minlength=bins)
         for lo in range(step, n, step):
@@ -561,8 +560,8 @@ def _energy_numpy(elements: tuple[int, ...]) -> int:
     def convolve():
         return _fft_counts((length,), arr, doubles) >> 1
 
-    u, table = _pair_value_counts(n, n // 2, 2 * diameter + 1, pairs,
-                                  _unordered_pairs(arr, np.add), (length,), convolve)
+    u, table = _pair_value_counts(n, 2 * diameter + 1, pairs, _unordered_pairs(arr, np.add),
+                                  (length,), convolve)
     if table is None:
         return 4 * int(np.dot(u, u)) + 4 * int(u[doubles].sum()) + n
     keys = doubles.astype(table.dtype)
@@ -635,6 +634,12 @@ def _energy_hashed(offsets: tuple[int, ...]) -> int:
     per unordered pair on random 70-bit offsets and 26 on a progression of
     step 2^100 + 1, where every key is checked: the 8-byte table, bool masks
     over it, and in ``_square_runs`` the index of every window past d = 8.
+    Every set past 2^62 of 32 or more elements comes here, whatever its
+    size (``tools/bench_hashed.py``, one run in a fresh process, 2-core
+    Xeon): 4,100 random 70-bit offsets took 0.28 s at 131 MB peak RSS, and
+    the 10^4 codes of a wide product at ``products.MATERIALIZE_CAP`` (two
+    factors of 100 random letters below 2^40, 5 * 10^7 pairs) 15.9 s at
+    1.6 GB.
     """
     n = len(offsets)
     h = np.array([x % _HASH_MODULUS for x in offsets], dtype=np.uint64)
@@ -712,10 +717,11 @@ def _wide_pairs_of(keys: np.ndarray, h: np.ndarray, order: np.ndarray, narrow: i
     """Every pair a < b of offsets with b >= ``narrow`` (b wide) whose key
     (h_a + h_b) mod P is in the sorted ``keys``, once, in blocks of arrays
     (k, a, b) with keys[k] its key; a block looks up about ``block`` values.
+    The residues ``h`` must be distinct, as ``_energy_hashed`` ensures.
 
     With fewer keys than offsets, by a two-sum over the residues sorted by
-    ``order``: for each key K and wide b, every a with h_a = (K - h_b) mod P
-    is a range of them, so a residue may repeat.  Otherwise the rows of
+    ``order``: for each key K and wide b, the one a with h_a = (K - h_b)
+    mod P, if any, is found by ``searchsorted``.  Otherwise the rows of
     wide b are scanned, each key (h_a + h_b) mod P of a < b looked up in
     ``keys``.  Either way costs the smaller of len(keys) and n lookups per
     wide offset.
@@ -733,11 +739,7 @@ def _wide_pairs_of(keys: np.ndarray, h: np.ndarray, order: np.ndarray, narrow: i
             at = residues.searchsorted(want)
             np.minimum(at, n - 1, out=at)
             cells = np.flatnonzero(residues[at] == want)
-            first = at[cells]
-            count = residues.searchsorted(want[cells], "right") - first
-            cells = np.repeat(cells, count)
-            a = order[np.arange(cells.size) + np.repeat(first - np.cumsum(count) + count,
-                                                         count)]
+            a = order[at[cells]]
             b, k = np.divmod(cells, min(step, keys.size - lo))
             b += narrow
             keep = a < b
@@ -763,20 +765,16 @@ def energy_oracle(a) -> int:
     is counted; the energy is sum r(s)^2.  This is the reference method every
     other energy route is checked against.  Sets of fewer than
     ``_NUMPY_MIN_SIZE`` elements go to ``_energy_counter``, the rest with
-    diameter below 2^62 to ``_energy_numpy``.  Past 2^62 the offsets x - min
-    go to ``_energy_hashed`` while n(n+1)/2 fits ``_PAIR_BLOCK`` (its table
-    holds the n(n-1)/2 pairs x < y), else to ``_energy_counter``; the hashed
-    route itself hands a set with a repeated residue mod 2^61 - 1, or with a
-    hash collision, to the Counter.  Every route is exact.
+    diameter below 2^62 to ``_energy_numpy``, and past 2^62 the offsets
+    x - min go to ``_energy_hashed`` at any size; the hashed route itself
+    hands a set with a repeated residue mod 2^61 - 1, or with a hash
+    collision, to the Counter.  Every route is exact.
     """
     els = _as_intset(a).elements
-    n = len(els)
-    if n < _NUMPY_MIN_SIZE:
+    if len(els) < _NUMPY_MIN_SIZE:
         return _energy_counter(els)
     if _int64_safe(els):
         return _energy_numpy(els)
-    if n * (n + 1) // 2 > _PAIR_BLOCK:
-        return _energy_counter(els)
     m = els[0]
     return _energy_hashed(tuple(x - m for x in els))
 
@@ -817,8 +815,8 @@ def _positive_differences(elements: tuple[int, ...]) -> tuple[np.ndarray, np.nda
         return d
 
     return _distinct_counts(*_pair_value_counts(
-        n, n // 2, diameter + 1, n * (n - 1) // 2,
-        _unordered_pairs(arr, _absolute_difference), (length,), convolve))
+        n, diameter + 1, n * (n - 1) // 2, _unordered_pairs(arr, _absolute_difference),
+        (length,), convolve))
 
 
 def difference_profile(a) -> DifferenceProfile:

@@ -20,10 +20,9 @@ import numpy as np
 
 from .constructions import LACUNARY_RATIO_MIN, build_with_target_energy
 from .errors import BudgetError, default_budget
-from .intset import IntSet, _as_intset, _int64_safe, energy_oracle
+from .intset import IntSet, _as_intset, energy_oracle
 
 MATERIALIZE_CAP = 10_000
-_PAIR_CAP = 20_000_000
 
 KT_EXPONENT = log2(6)  # boolean-cube energy exponent; tight at full cubes
 
@@ -91,18 +90,11 @@ def product_energy_oracle(p: ProductSet) -> int:
     """Energy by materializing all tuples and counting pair sums directly.
 
     The tuples become distinct carry-free integer codes, so the product's
-    energy is ``energy_oracle`` of the codes.  Codes spanning 2^62 or more are
-    counted by one sort of hashed pair sums while n(n+1)/2 fits
-    ``intset._PAIR_BLOCK`` for n codes, and by the pure-Python Counter past
-    it, or where two codes share a residue mod 2^61 - 1 or a hash collides;
-    that Counter is refused past ``_PAIR_CAP`` ordered pairs.
+    energy is ``energy_oracle`` of the codes.
     """
-    codes = _encode(p)
-    if p.size**2 > _PAIR_CAP and not _int64_safe(codes):
-        raise BudgetError(p.size**2, _PAIR_CAP, "materialized pair counting")
     # already strictly ascending: _encode walks the sorted factors in lex
     # order, and every digit is below the radix
-    return energy_oracle(IntSet._from_sorted(tuple(codes)))
+    return energy_oracle(IntSet._from_sorted(tuple(_encode(p))))
 
 
 # ---------------------------------------------------------------------------

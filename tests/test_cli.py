@@ -397,12 +397,12 @@ def record_kernels(monkeypatch):
     routes = []
     real_counts, real_hashed = intset._pair_value_counts, intset._energy_hashed
 
-    def counts_spy(n, width, bins, pairs, rows, shape, convolve):
+    def counts_spy(n, bins, pairs, rows, shape, convolve):
         def fft():
             routes.append("fft")
             return convolve()
 
-        counts, table = real_counts(n, width, bins, pairs, rows, shape, fft)
+        counts, table = real_counts(n, bins, pairs, rows, shape, fft)
         if table is not None:
             routes.append("sort" if table.dtype == np.int32 else "sort64")
         elif routes[-1:] != ["fft"]:

@@ -282,7 +282,7 @@ def test_bincount_array_is_a_power_of_two():
         arr = np.array(list(range(39)) + [top], dtype=np.int64)
         length = intset._transform_length(top)
         counts, table = intset._pair_value_counts(
-            40, 20, 2 * top + 1, 780, intset._unordered_pairs(arr, np.add), (length,), None)
+            40, 2 * top + 1, 780, intset._unordered_pairs(arr, np.add), (length,), None)
         assert table is None and counts.size == 1024
         assert counts.sum() == 780 and not counts[top + 39:].any()
 
@@ -548,16 +548,15 @@ def test_builder_witnesses_match_counter_all_sizes(monkeypatch):
     check_builder_witnesses(range(32, 481), monkeypatch)
 
 
-def test_pair_block_caps_hashed_route(monkeypatch):
-    # 40 elements have 820 unordered pairs; past _PAIR_BLOCK the Counter counts
+def test_hashed_route_ignores_pair_block(monkeypatch):
+    # _PAIR_BLOCK caps only bincount blocks: 40 elements past 2^62 have 780
+    # unordered pairs, and the hashed route counts them under any cap
     a = IntSet([5**i for i in range(40)])
     want = energy_from_profile(difference_profile(a))
     routes = record_routes(monkeypatch)
-    for block, route in ((820, "hashed"), (819, "counter")):
-        monkeypatch.setattr(intset, "_PAIR_BLOCK", block)
-        routes.clear()
-        assert energy_oracle(a) == want
-        assert routes == [route]
+    monkeypatch.setattr(intset, "_PAIR_BLOCK", 100)
+    assert energy_oracle(a) == want
+    assert routes == ["hashed"]
 
 
 @pytest.mark.parametrize("els, route", [
@@ -569,18 +568,13 @@ def test_pair_block_caps_hashed_route(monkeypatch):
     ([2**70 * i for i in range(42)], ["hashed"]),
 ])
 def test_neighbour_check_in_slices(els, route, monkeypatch):
-    # 42 elements have 903 unordered pairs with the diagonal, so every
-    # _PAIR_BLOCK from 924 to 2,520 admits them to the hashed route, whose
-    # checks are sized by its own table: neither the count nor the route
-    # may depend on the cap, with a mismatch or without
+    # the hashed route checks its keys in blocks sized by its own table, with
+    # a mismatch or without
     a = IntSet(els)
     want = _energy_counter(a.elements)
     routes = record_routes(monkeypatch)
-    for step in range(22, 61):
-        monkeypatch.setattr(intset, "_PAIR_BLOCK", 42 * step)
-        routes.clear()
-        assert energy_oracle(a) == want
-        assert routes == route
+    assert energy_oracle(a) == want
+    assert routes == route
 
 
 HASHED_EDGE_SETS = [
@@ -646,11 +640,17 @@ RESIDUES = st.sampled_from([0, 1, 2, 3, 5, 8, 2**60, _HASH_MODULUS - 2, _HASH_MO
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
-@given(st.lists(RESIDUES, min_size=2, max_size=30), st.integers(0, 29), st.integers(1, 60),
-       st.integers(1, 40), st.randoms(use_true_random=False))
+@given(st.lists(st.one_of(RESIDUES, st.integers(0, _HASH_MODULUS - 1)), min_size=2,
+                max_size=30, unique=True),
+       st.integers(0, 29), st.integers(1, 60), st.integers(1, 40),
+       st.randoms(use_true_random=False))
+@example(h=[0, 1, 2, 3, 5, 8, 2**60, _HASH_MODULUS - 2, _HASH_MODULUS - 1], narrow=3,
+         size=4, block=7, rnd=random.Random(1))  # the two-sum
+@example(h=[0, 1, 2, 3, 5, 8, 2**60, _HASH_MODULUS - 2, _HASH_MODULUS - 1], narrow=3,
+         size=20, block=7, rnd=random.Random(1))  # the scan of rows
 def test_wide_pairs_of_matches_pair_loop(h, narrow, size, block, rnd):
-    # residues repeat, as the two-sum must allow; fewer keys than residues
-    # take the two-sum, the rest the scan of rows
+    # residues are distinct, as _energy_hashed ensures before any table is
+    # built; fewer keys than residues take the two-sum, the rest the scan of rows
     n = len(h)
     narrow = min(narrow, n - 1)
     key_of = {(a, b): (h[a] + h[b]) % _HASH_MODULUS

@@ -7,7 +7,6 @@ from itertools import product as iproduct
 import pytest
 
 from addenergy import (
-    BudgetError,
     ProductSet,
     cube_energy_exponent,
     materialize,
@@ -17,7 +16,8 @@ from addenergy import (
     product_set,
     ratio_chain,
 )
-from addenergy.products import _PAIR_CAP, _encode
+from addenergy import intset
+from addenergy.products import _encode
 
 
 def random_factor_list(rng, max_alphabet=12, max_dims=4, size_cap=10_000):
@@ -163,16 +163,38 @@ def test_ratio_chain_shares_leading_factors():
         ratio_chain(12, 1)
 
 
-def test_oracle_python_fallback_path():
+def record_code_routes(monkeypatch):
+    """Record "hashed" and "counter" for each count of codes past 2^62 or
+    below 32 elements."""
+    routes = []
+    for name, label in (("_energy_counter", "counter"), ("_energy_hashed", "hashed")):
+        def spy(els, real=getattr(intset, name), label=label):
+            routes.append(label)
+            return real(els)
+
+        monkeypatch.setattr(intset, name, spy)
+    return routes
+
+
+def test_oracle_python_fallback_path(monkeypatch):
+    routes = record_code_routes(monkeypatch)
     # alphabet too large to encode into int64 forces the big-int route
     p = product_set([[0, 1, 10**18], [0, 10**17]], 10**18 + 1)
     assert product_energy_oracle(p) == product_energy(p) == 15 * 6
-    # 42 codes reach past 2^62 yet stay under the pair cap: energy_oracle
-    # counts them on its Counter route even though n >= 32
+    # 42 codes reach past 2^62: energy_oracle hashes them, as n >= 32
     p = product_set([[0, 1, 2, 3, 4, 5, 2**32 - 1], [0, 1, 2, 3, 4, 2**32 - 1]])
-    assert max(_encode(p)) >= 2**62 and p.size**2 <= _PAIR_CAP
+    assert max(_encode(p)) >= 2**62
+    routes.clear()
     assert product_energy_oracle(p) == product_energy(p)
-    wide = product_set([list(range(0, 71 * 10**10, 10**10))] * 2)
-    with pytest.raises(BudgetError):
-        # 5041^2 big-int pairs exceeds the pair cap
-        product_energy_oracle(wide)
+    assert routes == ["hashed", "counter", "counter"]
+
+
+@pytest.mark.slow
+def test_oracle_hashes_wide_products_of_any_size(monkeypatch):
+    # 68 x 68 = 4,624 codes past 2^62, 10.7 * 10^6 unordered pairs: counted
+    # on the hashed route, as every code set past 2^62 of 32 or more is
+    letters = sorted(random.Random(68).sample(range(2**40), 68))
+    p = product_set([letters, letters], 2**40)
+    routes = record_code_routes(monkeypatch)
+    assert product_energy_oracle(p) == product_energy(p)
+    assert routes == ["hashed"]
