@@ -6,6 +6,12 @@ as decimal strings.  Exit codes: 0 success, 1 precondition error (a usage
 error or a bad ADDENERGY_BUDGET included), 2 budget exhaustion, 3 target
 energy unreached, 4 internal error (a broken invariant, such as a built
 witness failing its recount).
+
+Neither numpy nor mpmath is imported at module level, here or in the
+library (the import rule in ``intset``).  So a call that counts no set of 32
+or more elements, such as ``energy`` or ``construct`` below 32 elements,
+``ratio-chain`` below w = 32, ``min-ratio`` or ``sidon`` without ``--check``,
+never loads numpy, and only ``density-curve`` loads mpmath.
 """
 
 from __future__ import annotations
@@ -13,8 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import mpmath
 
 from . import constructions as cons
 from . import groups, products, spectrum
@@ -47,6 +51,8 @@ def _fraction_json(fr) -> dict:
 
 
 def _mpf_str(x, digits: int = 50) -> str:
+    import mpmath
+
     return mpmath.nstr(x, digits, strip_zeros=False)
 
 
@@ -58,6 +64,8 @@ def _fraction_str(fr, digits: int) -> str:
     rounding midpoint of ``digits`` digits or at least 1/(2q * 10^digits)
     away from every one, so for q below 10^60 the rounding is exact.
     """
+    import mpmath
+
     with mpmath.workdps(groups.REPORT_DPS):
         return _mpf_str(mpmath.mpf(fr.numerator) / fr.denominator, digits)
 

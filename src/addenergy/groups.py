@@ -29,6 +29,10 @@ For the bincount and the sort, pair sums are folded from per-coordinate
 modular sums (each below 2^63) into codes below |G|.  Every r(x) <= |A| <=
 ``GROUP_ENERGY_CAP``, so sum r^2 <= |A|^3 fits int64.  Groups past 2^62 take
 an exact pure-Python pair loop.
+
+numpy and mpmath are imported inside the functions that use them, as the
+import rule in ``intset`` says: the group counts load numpy, and only the
+tradeoff points load mpmath.
 """
 
 from __future__ import annotations
@@ -37,12 +41,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-
-import mpmath
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .intset import (_as_intset, _distinct_counts, _fft_counts, _pair_value_counts,
                      energy_oracle)
+
+if TYPE_CHECKING:
+    import mpmath
+    import numpy as np
 
 GROUP_ENERGY_CAP = 10_000
 # at or below this order, coordinate sums and flat codes of pair sums fit int64
@@ -119,6 +125,8 @@ def _flat_profile(a: GroupSet) -> tuple[np.ndarray, np.ndarray]:
     orders adds in the group, with no padding, and the doubles' codes give
     its parity check.
     """
+    import numpy as np
+
     _check_size(a)
     orders = a.group.orders
     cols = np.array(sorted(a.elements), dtype=np.int64).reshape(-1, len(orders)).T
@@ -167,6 +175,8 @@ def sum_profile(a: GroupSet) -> dict:
     Keys are residue vectors, tuples of Python ints.  Counted in numpy when
     group.order <= 2^62, else by a pure-Python pair loop.
     """
+    import numpy as np
+
     if a.group.order > _FLAT_CODE_ORDER:
         return _loop_profile(a)
     codes, r = _flat_profile(a)
@@ -179,6 +189,8 @@ def _representation_counts(a: GroupSet) -> np.ndarray:
 
     Each r(x) <= |A| <= ``GROUP_ENERGY_CAP``, so sum r^2 <= |A|^3 fits int64.
     """
+    import numpy as np
+
     if a.group.order > _FLAT_CODE_ORDER:
         return np.fromiter(_loop_profile(a).values(), dtype=np.int64)
     return _flat_profile(a)[1]
@@ -186,6 +198,8 @@ def _representation_counts(a: GroupSet) -> np.ndarray:
 
 def group_energy(a: GroupSet) -> int:
     """E(A) under the group addition, via the representation profile."""
+    import numpy as np
+
     r = _representation_counts(a)
     return int(np.dot(r, r))
 
@@ -255,6 +269,8 @@ def cauchy_bound_check(a: GroupSet) -> bool:
     The second inequality is the density form 4*alpha <= 1 + alpha*(2+delta)
     with alpha = log|A|/log|G| and delta = log E/log|A| - 2.
     """
+    import numpy as np
+
     n = len(a)
     if n == 0:
         return True
@@ -285,6 +301,8 @@ class TradeoffPoint:
     bound_gap: mpmath.mpf
 
     def curve_value(self) -> mpmath.mpf:
+        import mpmath
+
         with mpmath.workdps(REPORT_DPS):
             return 1 / (2 - self.delta)
 
@@ -295,6 +313,8 @@ def tradeoff_point(k: int, n: int, p: int) -> TradeoffPoint:
     |A| = p^(2n-k) and E(A) = (2p^2-p)^k * p^(6(n-k)) by multiplicativity;
     the integer bound |A|^4 <= |G| * E(A) is asserted exactly.
     """
+    import mpmath
+
     if n < 1 or not 0 <= k <= n:
         raise ValueError("need n >= 1 and 0 <= k <= n")
     if not _is_odd_prime(p):

@@ -29,8 +29,9 @@ provably one true sum are checked, the true sums of their pairs (found by a
 two-sum over the sorted residues) are compared exactly, and a mismatch, or a
 residue shared by two offsets, sends the set to the Counter.  Only the time
 depends on the hash.
-``difference_profile`` counts the differences y - x, x < y, in numpy below
-2^62 and by a Counter over ``combinations`` otherwise; either way a
+``difference_profile`` counts the differences y - x, x < y, in numpy for
+sets of ``_NUMPY_MIN_SIZE`` or more elements and diameter below 2^62, and by
+a Counter over ``combinations`` otherwise; either way a
 ``DifferenceProfile`` is two read-only numpy arrays, the ascending distinct
 differences and their counts, and every reader (``energy_from_profile``, the
 ``searchsorted`` lookups of ``incremental_energy_extend``, ``to_json``) works
@@ -62,19 +63,28 @@ first of three exact kernels that fits:
 Every count on these routes is exact int64: a table value lies below 2^63,
 each count below n^2, and each energy term below E <= n^3 < 2^63 for
 n < 2^21 (n <= 2^21 on the FFT route, where E <= max_energy(2^21) < 2^63).
+
+Import rule: numpy is imported inside the functions that use it, and
+``numpy.fft`` inside ``_fft_counts``, never at module level (the
+``TYPE_CHECKING`` import only names the annotations).  ``groups`` and the
+CLI do the same with numpy and mpmath, so importing the package loads
+neither.  A process loads numpy at its first count of a set of
+``_NUMPY_MIN_SIZE`` or more elements, or its first ``DifferenceProfile``,
+and ``numpy.fft`` at its first count on the FFT route.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
 from math import gcd, log2, prod
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+if TYPE_CHECKING:
+    import numpy as np
 
 # a diameter below this bound keeps every offset pair sum inside int64
 _INT64_SAFE = 2**62
@@ -103,6 +113,8 @@ _HASH_EXACT = 2**60
 _PACKED_MODULUS = 4 * _HASH_MODULUS
 # largest set the O(n^4) quadruple count accepts
 _QUADRUPLE_CAP = 40
+# a decimal-integer string, as ``to_json`` writes them, with an optional sign
+_DECIMAL_INT = re.compile(r"[+-]?[0-9]+")
 
 
 class IntSet:
@@ -158,8 +170,12 @@ class IntSet:
         return [str(x) for x in self.elements]
 
     @classmethod
-    def from_json(cls, data: Iterable[int | str]) -> "IntSet":
-        return cls(int(x) for x in data)
+    def from_json(cls, data: list[int | str]) -> "IntSet":
+        """Inverse of ``to_json``: an array of JSON integers or decimal-integer
+        strings.  Anything else (a float, a bool, a non-array) is a ValueError."""
+        if not isinstance(data, list):
+            raise ValueError(f"a set must be a JSON array, not {type(data).__name__}")
+        return cls(_json_int(x) for x in data)
 
 
 class DifferenceProfile:
@@ -200,6 +216,8 @@ class DifferenceProfile:
         be a positive int at most the diameter, so it fits the differences'
         dtype and its index is below their size; the sum is exact while
         len(xs) * max(counts) < 2^63 (a profile of an n-set has counts below n)."""
+        import numpy as np
+
         keys = np.array(xs, dtype=self.differences.dtype)
         i = self.differences.searchsorted(keys)
         return int(self.counts[i] @ (self.differences[i] == keys))
@@ -224,6 +242,8 @@ class DifferenceProfile:
         return int(self.differences[-1]) if self.differences.size else 0
 
     def __eq__(self, other: object) -> bool:
+        import numpy as np
+
         return (isinstance(other, DifferenceProfile) and self.n == other.n
                 and np.array_equal(self.differences, other.differences)
                 and np.array_equal(self.counts, other.counts))
@@ -239,12 +259,25 @@ class DifferenceProfile:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "DifferenceProfile":
-        """Inverse of ``to_json``; a difference or a count below 1 is a ValueError."""
-        positive = {int(x): int(c) for x, c in data["positive"].items()}
+        """Inverse of ``to_json``.  ``n``, the differences and the counts must be
+        JSON integers or decimal-integer strings, and a difference or a count
+        below 1 is a ValueError."""
+        positive = {_json_int(x): _json_int(c) for x, c in data["positive"].items()}
         if any(x < 1 or c < 1 for x, c in positive.items()):
             raise ValueError("profile differences and counts must be positive")
-        return _sorted_profile(int(data["n"]), positive, max(positive, default=0),
+        return _sorted_profile(_json_int(data["n"]), positive, max(positive, default=0),
                                max(positive.values(), default=0))
+
+
+def _json_int(value) -> int:
+    """An integer read from JSON: a JSON integer, not a bool, or a string of
+    decimal digits with an optional sign.  Anything else is a ValueError, so a
+    float is never truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _DECIMAL_INT.fullmatch(value):
+        return int(value)
+    raise ValueError(f"expected an integer or a decimal-integer string, got {value!r}")
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -256,6 +289,8 @@ def _read_only(values: np.ndarray) -> np.ndarray:
 
 def _int_array(values: Iterable[int], size: int, top: int) -> np.ndarray:
     """``size`` nonnegative ints at most ``top``: int64 if top fits, else an object array."""
+    import numpy as np
+
     return np.fromiter(values, np.int64 if top < 2**63 else object, size)
 
 
@@ -273,6 +308,8 @@ def _sorted_profile(n: int, positive: Mapping[int, int], top_difference: int,
 def _square_sum(counts: np.ndarray) -> int:
     """Exact sum of c^2 over ``counts``: in int64 when the dtype is int64 and
     len * max^2 < 2^63, which bounds every partial sum, else in Python ints."""
+    import numpy as np
+
     if counts.dtype == np.int64 and counts.size * int(counts.max(initial=0)) ** 2 < 2**63:
         return int(np.dot(counts, counts))
     return sum(c * c for c in counts.tolist())
@@ -339,6 +376,8 @@ def _pair_value_counts(n: int, bins: int, pairs: int, rows, shape: tuple[int, ..
     of ``dtype`` with at most ceil(pairs / n) values per row: the folded rows
     of ``_unordered_pairs`` hold at most n // 2 values, a full n^2 table n.
     """
+    import numpy as np
+
     length = prod(shape)
     if (length <= _FFT_LENGTH_CAP
             and _FFT_COST * length * log2(length) + _FFT_FIXED < pairs
@@ -408,8 +447,10 @@ def _fft_counts(shape: tuple[int, ...], codes: np.ndarray,
     transformed, so numpy holds two arrays of 8 bytes per point at once
     (``tracemalloc``: 64 MB at L = 2^22), and with pocketfft's own buffers
     the peak RSS grows by 32 bytes per point (128 MB).  ``numpy.fft`` is
-    imported here, on first use, so importing the package does not load it.
+    imported here, so only a process that counts on the FFT route loads it
+    (see the import rule in the module docstring).
     """
+    import numpy as np
     import numpy.fft as fft
 
     n = codes.size
@@ -444,6 +485,8 @@ def _distinct_counts(counts: np.ndarray | None,
                      table: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values, ascending, and their counts, both int64, from
     either result of ``_pair_value_counts``."""
+    import numpy as np
+
     if table is None:
         values = np.flatnonzero(counts != 0)  # a bool scan is faster than an int64 one
         return values, counts[values]
@@ -467,6 +510,8 @@ def _square_runs(table: np.ndarray) -> int:
     1.1 * 10^6 values) grew the freed heap past glibc's trim threshold, so
     that each later count faulted in fresh pages.
     """
+    import numpy as np
+
     size = table.size
     same = table[1:] == table[:-1]
     window = same.copy()
@@ -500,6 +545,9 @@ def _unordered_pairs(arr: np.ndarray, op):
     calls writing into one new array; a numpy call per row was 2-16x slower
     at n = 32..1,500.
     """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
     n = arr.size
     h = (n - 1) // 2
     half = n // 2 if n % 2 == 0 else 0
@@ -518,12 +566,16 @@ def _unordered_pairs(arr: np.ndarray, op):
 
 def _absolute_difference(x, y, out):
     """|x - y| into ``out``: the symmetric op of the difference table."""
+    import numpy as np
+
     np.subtract(x, y, out=out)
     np.abs(out, out=out)
 
 
 def _first_of_run(s: np.ndarray) -> np.ndarray:
     """Bool mask over a sorted array: first[i] iff s[i] starts a run of equal values."""
+    import numpy as np
+
     first = np.empty(s.size, dtype=bool)
     first[:1] = True
     np.not_equal(s[1:], s[:-1], out=first[1:])
@@ -531,6 +583,8 @@ def _first_of_run(s: np.ndarray) -> np.ndarray:
 
 
 def _offsets(elements: tuple[int, ...]) -> np.ndarray:
+    import numpy as np
+
     m = elements[0]
     return np.array([x - m for x in elements], dtype=np.int64)
 
@@ -550,6 +604,8 @@ def _energy_numpy(elements: tuple[int, ...]) -> int:
     sums (``_square_runs``), and u(2x) is the width of the run of 2x, found
     by two ``searchsorted`` calls on the table.
     """
+    import numpy as np
+
     arr = _offsets(elements)
     n = len(arr)
     diameter = elements[-1] - elements[0]
@@ -586,6 +642,8 @@ def _energy_counter(elements: tuple[int, ...]) -> int:
 def _packed_sum(x, y, out):
     """(x + y) mod 4P into ``out``, P = 2^61 - 1: the symmetric op of the
     packed key table of ``_energy_hashed``."""
+    import numpy as np
+
     np.add(x, y, out=out)
     np.subtract(out, _PACKED_MODULUS, out=out, where=out >= _PACKED_MODULUS)
 
@@ -641,6 +699,8 @@ def _energy_hashed(offsets: tuple[int, ...]) -> int:
     factors of 100 random letters below 2^40, 5 * 10^7 pairs) 15.9 s at
     1.6 GB.
     """
+    import numpy as np
+
     n = len(offsets)
     h = np.array([x % _HASH_MODULUS for x in offsets], dtype=np.uint64)
     order = h.argsort()
@@ -694,6 +754,8 @@ def _hashed_sums_agree(offsets: tuple[int, ...], h: np.ndarray, order: np.ndarra
     from ``_wide_pairs_of``, a block at a time, and each t is compared with
     the t of its run seen so far.
     """
+    import numpy as np
+
     q = np.zeros(h.size, dtype=np.int64 if offsets[-1] // _HASH_MODULUS < 2**62 else object)
     q[narrow:] = [x // _HASH_MODULUS for x in offsets[narrow:]]
     run_t = np.zeros(keys.size, dtype=q.dtype)
@@ -726,6 +788,8 @@ def _wide_pairs_of(keys: np.ndarray, h: np.ndarray, order: np.ndarray, narrow: i
     ``keys``.  Either way costs the smaller of len(keys) and n lookups per
     wide offset.
     """
+    import numpy as np
+
     n = h.size
     wide_h = h[narrow:]
     if keys.size < n:

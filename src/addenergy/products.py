@@ -16,8 +16,6 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, log2, prod
 
-import numpy as np
-
 from .constructions import LACUNARY_RATIO_MIN, build_with_target_energy
 from .errors import BudgetError, default_budget
 from .intset import IntSet, _as_intset, energy_oracle
@@ -118,6 +116,8 @@ def cube_energy_exponent(k: int) -> CubeExponentReport:
     cube_energy = 6 ** k
     if k > 3:
         return CubeExponentReport(k, cube_energy, KT_EXPONENT, None, None)
+    import numpy as np
+
     points = list(product((0, 1), repeat=k))
     # radix-3 codes: coordinate sums are at most 2, so pair sums are carry-free
     code = {pt: sum(c * 3**i for i, c in enumerate(pt)) for pt in points}

@@ -16,11 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import BudgetError, default_budget
 from .intset import IntSet, energy_oracle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_SPECTRUM_SIZE = 12
 _CHUNK = 65536
@@ -73,6 +75,8 @@ def _batch_energies(rows: np.ndarray) -> np.ndarray:
     In int64, sums are at most 2*diameter_bound and energies at most
     n^3 <= 12^3 = 1728.
     """
+    import numpy as np
+
     m, n = rows.shape
     sums = (rows[:, :, None] + rows[:, None, :]).reshape(m, n * n)
     sums.sort(axis=1)
@@ -133,6 +137,8 @@ def _spectrum_chunk(args: tuple[int, list[int]]) -> dict[int, tuple[int, ...]]:
     lex-min witnesses.  ``combinations`` yields rows in lex order and the
     mask keeps it, so ``np.unique``'s first index is the block's lex-min row.
     """
+    import numpy as np
+
     n, diameters = args
     found: dict[int, tuple[int, ...]] = {}
     for d in diameters:

@@ -94,6 +94,18 @@ def test_product_schema(tmp_path):
     assert payload["agrees"] is True and payload["size"] == "6"
 
 
+@pytest.mark.parametrize("factor", [[1.5, 2.5, 7], [True, 2], ["7.0"], "012"])
+def test_product_rejects_non_integer_factors(tmp_path, factor, capsys):
+    # a float factor used to be truncated: [1.5, 2.5, 7] was counted as {1, 2, 7}
+    f1 = tmp_path / "f1.json"
+    f2 = tmp_path / "f2.json"
+    f1.write_text(json.dumps(factor))
+    f2.write_text(json.dumps(["0", "1"]))
+    code, out = run_cli(["product", "--factors", f"{f1},{f2}", "--oracle"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_ratio_chain_schema(tmp_path):
     out_file = tmp_path / "chain.json"
     payload = check("ratio_chain", ["ratio-chain", "--w", "12", "--n", "2",
@@ -429,12 +441,35 @@ def test_stdout_pinned_on_every_kernel(tmp_path, monkeypatch):
         assert set(routes) == ({kernel} - {"counter"}), name
 
 
-def test_import_does_not_load_numpy_fft():
-    # numpy.fft is imported on the FFT route's first use, so start-up and the
-    # counts that never take it do not pay for it
-    probe = ("import sys, io, addenergy.cli as c; "
-             "c.main(['energy', '--set', ','.join(map(str, range(0, 80, 3)))], out=io.StringIO()); "
-             "print('numpy.fft' in sys.modules)")
+def loaded_after(argv):
+    """Which of numpy, numpy.fft and mpmath a fresh interpreter has loaded
+    after importing addenergy and addenergy.cli and, given ``argv``, running
+    ``cli.main(argv)``."""
+    probe = ("import io, sys, addenergy, addenergy.cli as c\n"
+             f"if {argv!r} is not None:\n"
+             f"    assert c.main({argv!r}, out=io.StringIO()) == 0\n"
+             "print(*(m for m in ('numpy', 'numpy.fft', 'mpmath') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True).stdout
-    assert out == "False\n"
+    return out.split()
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, []),
+    (["energy", "--set", "0,1,2"], []),
+    (["construct", "--n", "12", "--target", "276"], []),
+    (["min-ratio", "--M", "4", "--w", "3", "--n", "2"], []),
+    (["density-curve", "--n", "3", "--p", "13"], ["mpmath"]),
+])
+def test_import_loads_neither_numpy_nor_mpmath(argv, loaded):
+    # each module imports numpy and mpmath inside the functions that use
+    # them, so start-up and the commands that never count a set of 32 or
+    # more elements load neither
+    assert loaded_after(argv) == loaded
+
+
+def test_import_does_not_load_numpy_fft():
+    # 32 elements is the first size counted in numpy (this also catches a
+    # silent route change), and numpy.fft is imported on the FFT route's
+    # first use, so the counts that never take it do not pay for it
+    assert loaded_after(["energy", "--set", ",".join(map(str, range(0, 96, 3)))]) == ["numpy"]

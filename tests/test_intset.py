@@ -139,6 +139,38 @@ def test_profile_json_round_trip():
     assert DifferenceProfile.from_json(p.to_json()) == p
 
 
+def test_intset_from_json_reads_ints_and_decimal_strings():
+    assert IntSet.from_json([3, "-2", "+5", "007", 2**70, str(-(10**40))]).elements == (
+        -(10**40), -2, 3, 5, 7, 2**70)
+
+
+@pytest.mark.parametrize("data", [
+    [1.5, 2.5, 7],  # floats were truncated to {1, 2, 7}
+    [7.0],
+    [True, 2],  # a bool is not a JSON integer
+    [1, None],
+    ["1.0"], ["0x10"], [" 3"], ["1_000"], ["\u0663"], [""], ["-"],
+    "123",  # not an array: its characters were read as {1, 2, 3}
+    {"1": 2},
+])
+def test_intset_from_json_rejects_non_integers(data):
+    with pytest.raises(ValueError):
+        IntSet.from_json(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"n": 3, "positive": {"1": 2.0, "2": 1}},  # a float count
+    {"n": 3, "positive": {"1": True, "2": 1}},  # a bool count
+    {"n": 3, "positive": {"1": "2.5"}},
+    {"n": 3, "positive": {"1.5": 2}},  # a difference that is not an integer
+    {"n": 3.0, "positive": {"1": 2, "2": 1}},  # a float n
+    {"n": False, "positive": {}},
+])
+def test_profile_from_json_rejects_non_integers(data):
+    with pytest.raises(ValueError):
+        DifferenceProfile.from_json(data)
+
+
 # ---------------------------------------------------------------------------
 # properties (seeded sweeps)
 # ---------------------------------------------------------------------------
