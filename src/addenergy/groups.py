@@ -82,12 +82,24 @@ class GroupSpec:
 
 @dataclass(frozen=True)
 class GroupSet:
-    """Subset of a finite abelian group, as a frozenset of residue vectors."""
+    """Subset of a finite abelian group, as a frozenset of residue vectors.
+
+    Construction checks that every vector has one coordinate per cyclic
+    factor and each coordinate lies in [0, m): the lengths in one pass, then
+    the least and greatest coordinate on each axis.  Only when that fails are
+    the vectors walked one by one, so the error names the first bad vector
+    in iteration order.
+    """
 
     group: GroupSpec
     elements: frozenset
 
     def __post_init__(self):
+        orders = self.group.orders
+        if (set(map(len, self.elements)) <= {len(orders)}
+                and all(0 <= min(axis) and max(axis) < m
+                        for axis, m in zip(zip(*self.elements), orders))):
+            return
         for x in self.elements:
             if not self.group.contains(x):
                 raise ValueError(f"{x} is not a valid residue vector")
@@ -97,7 +109,7 @@ class GroupSet:
 
     @classmethod
     def of(cls, group: GroupSpec, elements) -> "GroupSet":
-        return cls(group, frozenset(tuple(int(c) for c in x) for x in elements))
+        return cls(group, frozenset(tuple(map(int, x)) for x in elements))
 
     @classmethod
     def full(cls, group: GroupSpec) -> "GroupSet":

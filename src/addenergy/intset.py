@@ -33,9 +33,11 @@ depends on the hash.
 sets of ``_NUMPY_MIN_SIZE`` or more elements and diameter below 2^62, and by
 a Counter over ``combinations`` otherwise; either way a
 ``DifferenceProfile`` is two read-only numpy arrays, the ascending distinct
-differences and their counts, and every reader (``energy_from_profile``, the
-``searchsorted`` lookups of ``incremental_energy_extend``, ``to_json``) works
-on the arrays.
+differences and their counts, and its readers (``energy_from_profile``,
+``to_json``) work on the arrays.  ``incremental_energy_extend`` reads them,
+by one ``searchsorted``, only on the numpy route; on the Counter route (under
+``_NUMPY_MIN_SIZE`` elements, or diameter 2^62 or more) it reads a Counter of
+the differences and builds no profile.
 
 ``_pair_value_counts`` is the one rule the numpy routes (and the group sum
 profile) use to count a table of P pair values in [0, bins), and it takes the
@@ -78,8 +80,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, starmap
 from math import gcd, log2, prod
+from operator import add, lt, sub
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -111,7 +114,7 @@ _HASH_MODULUS = 2**61 - 1
 _HASH_EXACT = 2**60
 # the modulus of packed keys h << 2 | wide
 _PACKED_MODULUS = 4 * _HASH_MODULUS
-# largest set the O(n^4) quadruple count accepts
+# largest set the quadruple count (n^3 membership tests) accepts
 _QUADRUPLE_CAP = 40
 # a decimal-integer string, as ``to_json`` writes them, with an optional sign
 _DECIMAL_INT = re.compile(r"[+-]?[0-9]+")
@@ -122,12 +125,20 @@ class IntSet:
 
     Instances are immutable value objects: construction sorts and
     deduplicates, so the strictly-increasing invariant holds structurally.
+    Input whose items are all of type ``int`` exactly (no bool, no numpy
+    int, no subclass) and strictly ascending, as two C-level passes over it
+    show, is taken as it comes, and a tuple is kept as the same object;
+    anything else is converted by ``int``, deduplicated and sorted, to the
+    same elements.
     """
 
     __slots__ = ("elements",)
 
     def __init__(self, elements: Iterable[int] = ()):
-        self.elements: tuple[int, ...] = tuple(sorted({int(x) for x in elements}))
+        t = tuple(elements)
+        if not (set(map(type, t)) <= {int} and all(map(lt, t, t[1:]))):
+            t = tuple(sorted({int(x) for x in t}))
+        self.elements: tuple[int, ...] = t
 
     @classmethod
     def _from_sorted(cls, elements: tuple[int, ...]) -> "IntSet":
@@ -491,7 +502,7 @@ def _distinct_counts(counts: np.ndarray | None,
         values = np.flatnonzero(counts != 0)  # a bool scan is faster than an int64 one
         return values, counts[values]
     starts = np.flatnonzero(_first_of_run(table))
-    return table[starts].astype(np.int64), np.diff(starts, append=table.size)
+    return table[starts].astype(np.int64, copy=False), np.diff(starts, append=table.size)
 
 
 def _square_runs(table: np.ndarray) -> int:
@@ -583,9 +594,17 @@ def _first_of_run(s: np.ndarray) -> np.ndarray:
 
 
 def _offsets(elements: tuple[int, ...]) -> np.ndarray:
+    """The int64 offsets x - min of a sorted ``_int64_safe`` tuple.  When every
+    element fits int64 the tuple is converted in one call and the minimum
+    subtracted in place; otherwise (elements past 2^63 either side) each
+    offset is taken in Python ints first."""
     import numpy as np
 
     m = elements[0]
+    if m >= -2**63 and elements[-1] < 2**63:
+        arr = np.array(elements, np.int64)
+        arr -= m
+        return arr
     return np.array([x - m for x in elements], dtype=np.int64)
 
 
@@ -634,7 +653,7 @@ def _energy_counter(elements: tuple[int, ...]) -> int:
     E = 4 * sum_s u(s)^2 + 4 * sum_{x in A} u(2x) + n; for {0, 1, 2},
     12 + 4 + 3 = 19.
     """
-    u = Counter(x + y for x, y in combinations(elements, 2))
+    u = Counter(starmap(add, combinations(elements, 2)))
     return (4 * sum(c * c for c in u.values()) + 4 * sum(u[2 * x] for x in elements)
             + len(elements))
 
@@ -844,17 +863,21 @@ def energy_oracle(a) -> int:
 
 
 def energy_by_quadruples(a) -> int:
-    """Literal quadruple count; independent cross-check, O(n^4), n <= 40."""
-    s = _as_intset(a)
-    els = s.elements
+    """Literal quadruple count; independent cross-check, n <= 40.
+
+    For each (a1, a2, a3) it tests whether a4 = a1 + a2 - a3 is in A: n^3
+    membership tests in a ``set``.
+    """
+    els = _as_intset(a).elements
     if len(els) > _QUADRUPLE_CAP:
         raise ValueError(f"quadruple counting is capped at {_QUADRUPLE_CAP} elements")
+    members = set(els)
     count = 0
     for a1 in els:
         for a2 in els:
             t = a1 + a2
             for a3 in els:
-                if t - a3 in s:
+                if t - a3 in members:
                     count += 1
     return count
 
@@ -894,8 +917,13 @@ def difference_profile(a) -> DifferenceProfile:
     n = len(els)
     if n >= _NUMPY_MIN_SIZE and _int64_safe(els):
         return DifferenceProfile(n, *_positive_differences(els))
-    return _sorted_profile(n, Counter(y - x for x, y in combinations(els, 2)),
-                           els[-1] - els[0] if els else 0, n)
+    return _sorted_profile(n, _difference_counter(els), els[-1] - els[0] if els else 0, n)
+
+
+def _difference_counter(elements: tuple[int, ...]) -> Counter:
+    """d+ of a sorted tuple as a Counter of the differences y - x, x < y: the
+    pairs of the descending tuple come out as (y, x), so each is positive."""
+    return Counter(starmap(sub, combinations(elements[::-1], 2)))
 
 
 def energy_from_profile(p: DifferenceProfile) -> int:
@@ -946,7 +974,7 @@ def incremental_energy_extend(a, energy_a: int, a_new: int) -> int:
     if a_new <= els[-1]:
         raise ValueError("new element must exceed the current maximum")
     if len(els) < _NUMPY_MIN_SIZE or not _int64_safe(els):
-        d_plus = Counter(y - x for x, y in combinations(els, 2))
+        d_plus = _difference_counter(els)
         t_sum = sum(d_plus[a_new - x] for x in els)
     else:
         near = els[bisect_left(els, a_new - (els[-1] - els[0])):]  # a_new - x <= diameter

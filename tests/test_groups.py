@@ -1,6 +1,7 @@
 """Group energies, Sidon sets, and the density-energy tradeoff."""
 
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
@@ -226,6 +227,49 @@ def test_group_spec_validation():
     spec = GroupSpec((101, 100))
     with pytest.raises(ValueError):
         group_energy(GroupSet(spec, frozenset(islice(spec.elements(), 10_001))))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ((1, 2, 0), "(1, 2, 0) is not a valid residue vector"),  # too long
+    ((1,), "(1,) is not a valid residue vector"),  # too short
+    ((-1, 2), "(-1, 2) is not a valid residue vector"),
+    ((1, -3), "(1, -3) is not a valid residue vector"),
+    ((3, 0), "(3, 0) is not a valid residue vector"),  # equal to its order
+    ((2, 5), "(2, 5) is not a valid residue vector"),
+])
+def test_group_set_rejects_bad_vectors(bad, message):
+    spec = GroupSpec((3, 5))
+    good = [(0, 0), (2, 4), (1, 3)]
+    for vectors in ([bad], good + [bad]):
+        with pytest.raises(ValueError) as info:
+            GroupSet.of(spec, vectors)
+        assert str(info.value) == message
+    assert GroupSet.of(spec, good).elements == frozenset(good)
+
+
+def test_group_set_accepts_the_empty_set():
+    spec = GroupSpec((3, 5))
+    for a in (GroupSet.of(spec, []), GroupSet(spec, frozenset())):
+        assert len(a) == 0 and group_energy(a) == 0
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.lists(st.integers(2, 6), min_size=1, max_size=3).flatmap(
+    lambda orders: st.tuples(st.just(tuple(orders)), st.lists(
+        st.lists(st.integers(-1, 7), min_size=len(orders) - 1,
+                 max_size=len(orders) + 1).map(tuple), max_size=12))))
+def test_group_set_names_the_first_bad_vector(case):
+    # the per-axis check accepts exactly the sets the per-vector one does,
+    # and a refusal names the first bad vector in iteration order
+    orders, vectors = case
+    spec = GroupSpec(orders)
+    elements = frozenset(vectors)
+    bad = [x for x in elements if not spec.contains(x)]
+    if not bad:
+        assert GroupSet(spec, elements).elements == elements
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(str(bad[0]))} is not a valid"):
+        GroupSet(spec, elements)
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,35 @@ def test_intset_sorts_and_dedups():
     assert s.diameter == 2 and IntSet([7]).diameter == 0
 
 
+INTSET_VALUES = st.one_of(
+    st.integers(-2**70, 2**70),
+    st.booleans(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    st.floats(-1e6, 1e6),
+)
+INTSET_FORMS = {
+    "list": list,
+    "tuple": tuple,
+    "generator": lambda v: (x for x in v),
+    # ascending, but holding duplicates or items that are not exact ints
+    "ascending tuple": lambda v: tuple(sorted(v, key=int)),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.lists(INTSET_VALUES, max_size=40), st.sampled_from(sorted(INTSET_FORMS)))
+@example(values=[2, 1, 2**65, -2**65], form="tuple")
+@example(values=[True, False, 1], form="ascending tuple")
+@example(values=[np.int64(3), np.int64(5)], form="ascending tuple")
+@example(values=[1, 1, 2], form="ascending tuple")
+def test_intset_elements_are_sorted_distinct_ints(values, form):
+    want = tuple(sorted({int(v) for v in values}))
+    els = IntSet(INTSET_FORMS[form](values)).elements
+    assert els == want and all(type(x) is int for x in els)
+    # a strictly ascending tuple of ints is kept as it is
+    assert IntSet(want).elements is want
+
+
 def test_intset_json_round_trip():
     s = IntSet([-(10**40), 0, 10**45])
     data = s.to_json()
@@ -279,6 +308,37 @@ def test_int64_boundary_routes(monkeypatch):
         assert energy_oracle(a) == by_profile
         assert routes == want
     assert _int64_safe(cases[1][0].elements) and not _int64_safe(cases[2][0].elements)
+
+
+# where the first element of a set of the given total span sits: at or just
+# inside either end of int64, or across either end by 1 to span
+INT64_EDGES = {
+    "at -2^63": lambda span, k: -2**63,
+    "just above -2^63": lambda span, k: -2**63 + k,
+    "just below 2^63": lambda span, k: 2**63 - 1 - span - k,
+    "at 2^63 - 1": lambda span, k: 2**63 - 1 - span,
+    "across 2^63": lambda span, k: 2**63 - 1 - k % span,
+    "across -2^63": lambda span, k: -2**63 - 1 - k % span,
+}
+
+
+@pytest.mark.parametrize("edge", sorted(INT64_EDGES))
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(gaps=st.lists(st.integers(1, 2**40), min_size=31, max_size=50),
+       k=st.integers(0, 2**20))
+def test_offsets_at_the_int64_edges(edge, gaps, k):
+    offsets = (0, *accumulate(gaps))
+    start = INT64_EDGES[edge](offsets[-1], k)
+    els = tuple(start + x for x in offsets)
+    fits = -2**63 <= els[0] and els[-1] < 2**63
+    assert fits == (not edge.startswith("across"))
+    if not fits:  # the one-call conversion would overflow: the per-element path
+        with pytest.raises(OverflowError):
+            np.array(els, np.int64)
+    arr = intset._offsets(els)
+    assert arr.dtype == np.int64 and arr.tolist() == list(offsets)
+    assert energy_oracle(els) == _energy_counter(els)
+    assert energy_from_profile(difference_profile(els)) == _energy_counter(els)
 
 
 def test_bincount_unique_boundary(monkeypatch):
