@@ -61,6 +61,16 @@ first of three exact kernels that fits:
     fits (bins <= 2^31: diameter <= 2^30 - 1 for sums, <= 2^31 - 1 for
     differences) and as int64 past that.  The energy reads sum u^2 and
     sum u(2x) from the sorted table itself; only profiles need its runs.
+    An energy's sum table of at least ``_SPLIT_MIN`` = 2^18 values (n >= 725)
+    is sorted as two tables with no value in common (``_SumClasses``): with
+    v the lowest set bit of the OR of the offsets, the sums inside the two
+    classes of bit v are = 0 mod 2^(v+1) and the sums across them = 2^v, so
+    sum u^2 is the sum over the runs of both, and every double lies in the
+    first.  A second thread builds, sorts and run-counts the cross table
+    while the caller does the inside one, whenever the process may run on
+    two or more CPUs; otherwise both are counted inline by the same code.
+    That is one short-lived thread per count past the cut and none below
+    it, on the other kernels, for profiles or for group tables.
 
 Every count on these routes is exact int64: a table value lies below 2^63,
 each count below n^2, and each energy term below E <= n^3 < 2^63 for
@@ -77,7 +87,9 @@ and ``numpy.fft`` at its first count on the FFT route.
 
 from __future__ import annotations
 
+import os
 import re
+import threading
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations, starmap
@@ -106,6 +118,9 @@ _FFT_FIXED = 2**14
 # longest transform the FFT route takes: 2^22 points, at 32 bytes of peak RSS
 # each 128 MB; it keeps an integer set's n <= diameter + 1 <= 2^21
 _FFT_LENGTH_CAP = 2**22
+# a sum table of at least this many values on the sort route is counted as two
+# tables of disjoint values, one on a second thread (``_SumClasses``)
+_SPLIT_MIN = 2**18
 # the constant c of the a priori rounding bound c * u * n * levels < 1/4
 _FFT_ERROR = 32
 # the Mersenne prime 2^61 - 1: two residues sum below 2^62, inside int64
@@ -336,7 +351,7 @@ def _int64_safe(elements) -> bool:
 
 
 def _pair_value_counts(n: int, bins: int, pairs: int, rows, shape: tuple[int, ...],
-                       convolve) -> tuple[np.ndarray | None, np.ndarray | None]:
+                       convolve, split=None) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Count the values of an n-row table of ``pairs`` pair values in [0, bins).
 
     The one rule every numpy count of pair values goes through.  It takes
@@ -378,10 +393,31 @@ def _pair_value_counts(n: int, bins: int, pairs: int, rows, shape: tuple[int, ..
        kernel on small groups, where the ratio 1.0 it replaced did not, and
        the slower one on large groups between 1.0 and 1.5 bins per value.
 
+    With ``split`` (given only by ``_energy_numpy``, a ``_SumClasses``) and
+    at least ``_SPLIT_MIN`` = 2^18 pairs, the sort is ``split(dtype)``
+    instead: the unordered sums of offsets are split by bit v, the lowest
+    set bit of the OR of the offsets.  Every offset is 2^v x', x' even for
+    class 0 (which holds the offset 0) and odd for class 1 (which holds at
+    least one offset, or v would be higher).  A sum inside one class is
+    2^v (x' + y') with x' + y' even, so = 0 mod 2^(v+1); a sum across is
+    = 2^v mod 2^(v+1).  So the inside and the cross tables share no value,
+    sum u^2 is the sum of k^2 over the runs of both, and every double 2x is
+    = 0 mod 2^(v+1), so it lies in the inside table.  ``split(dtype)``
+    returns the inside table, sorted, and the cross table is counted on one
+    fresh thread meanwhile (or inline, on one usable CPU; ``_in_parallel``).
+    On the 2-core Xeon, best of 60 per call on random sets in [0, 10^6],
+    one table against two: n = 436 (94,830 pairs) 0.62 against 0.85 ms,
+    n = 555 (153,735) 0.94 against 0.93 ms, the tie, n = 673 1.39 against
+    1.18 ms, n = 725 (262,450) 1.66 against 1.37 ms; the cut sits at 2^18,
+    past the tie, so the thread's start is paid only where it is well
+    repaid.  Profiles and group tables read the distinct values of the whole
+    table, which two tables would first have to merge, so they never split.
+
     Either of the first two returns (counts, None) with counts[v] the count
     of v, zeros included, for v below len(counts) >= bins; ``convolve()``
     must return that array.  The sort returns (None, table), the sorted
-    table, of which the caller reads what it needs.
+    table (with ``split``, the sorted inside table), of which the caller
+    reads what it needs.
 
     ``rows(lo, hi, dtype)`` builds rows lo..hi-1 of the table as a new array
     of ``dtype`` with at most ceil(pairs / n) values per row: the folded rows
@@ -402,7 +438,10 @@ def _pair_value_counts(n: int, bins: int, pairs: int, rows, shape: tuple[int, ..
             counts += np.bincount(rows(lo, min(n, lo + step), np.int64).ravel(),
                                   minlength=bins)
         return counts, None
-    table = rows(0, n, np.int32 if bins <= 2**31 else np.int64).ravel()
+    dtype = np.int32 if bins <= 2**31 else np.int64
+    if split is not None and pairs >= _SPLIT_MIN:
+        return None, split(dtype)
+    table = rows(0, n, dtype).ravel()
     table.sort()
     return None, table
 
@@ -505,7 +544,7 @@ def _distinct_counts(counts: np.ndarray | None,
     return table[starts].astype(np.int64, copy=False), np.diff(starts, append=table.size)
 
 
-def _square_runs(table: np.ndarray) -> int:
+def _square_runs(table: np.ndarray, masks: np.ndarray | None = None) -> int:
     """Sum of k^2 over the runs of k equal values of a sorted array.
 
     Sum k^2 = P + 2 * sum_{d >= 1} E_d over P values, with E_d the number of
@@ -520,12 +559,25 @@ def _square_runs(table: np.ndarray) -> int:
     be equal; index arrays over the runs of the whole table (10 MB at
     1.1 * 10^6 values) grew the freed heap past glibc's trim threshold, so
     that each later count faulted in fresh pages.
+
+    ``masks``, when given, is a bool array of at least 2 * (P - 1) values
+    that holds the two masks instead of two new arrays.  ``_SumClasses``
+    allocates it for the thread that counts the cross table: glibc serves a
+    second thread from an arena of its own, which keeps what it frees, so
+    masks allocated there raised the benchmark's peak RSS by about 3 MB
+    (``count-mix``, 2-core Xeon), and with the caller's scratch not at all.
     """
     import numpy as np
 
     size = table.size
-    same = table[1:] == table[:-1]
-    window = same.copy()
+    if masks is None:
+        same = table[1:] == table[:-1]
+        window = same.copy()
+    else:
+        neighbours = max(size - 1, 0)
+        same = np.equal(table[1:], table[:-1], out=masks[:neighbours])
+        window = masks[neighbours:2 * neighbours]
+        np.copyto(window, same)
     total, d = size, 1
     while d <= 8:
         count = int(np.count_nonzero(window))
@@ -555,6 +607,13 @@ def _unordered_pairs(arr: np.ndarray, op):
     op(arr[i + n/2], arr[i]) as one more value.  A block of rows is two numpy
     calls writing into one new array; a numpy call per row was 2-16x slower
     at n = 32..1,500.
+
+    ``rows(lo, hi, dtype, out=None)`` writes into ``out`` instead, when
+    given: a contiguous 1-D array of ``dtype`` holding exactly the block's
+    values ((hi - lo) * h plus the rows below n/2 that take one more), as
+    ``_SumClasses`` places two class triangles side by side in one array.
+    Concatenating two new arrays instead took about 1.5 times as long
+    (n = 1,027 and 1,500, best of 40) and allocates the triangles twice.
     """
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
@@ -563,11 +622,12 @@ def _unordered_pairs(arr: np.ndarray, op):
     h = (n - 1) // 2
     half = n // 2 if n % 2 == 0 else 0
 
-    def rows(lo, hi, dtype):
+    def rows(lo, hi, dtype, out=None):
         a = arr.astype(dtype, copy=False)
         ring = sliding_window_view(np.concatenate([a[1:], a]), h)  # ring[i, j-1] = a[(i+j) % n]
         m, extra = hi - lo, max(0, min(hi, half) - lo)
-        out = np.empty(m * h + extra, dtype=dtype)
+        if out is None:
+            out = np.empty(m * h + extra, dtype=dtype)
         op(ring[lo:hi], a[lo:hi, None], out=out[:m * h].reshape(m, h))
         op(a[lo + half:lo + half + extra], a[lo:lo + extra], out=out[m * h:])
         return out
@@ -621,7 +681,10 @@ def _energy_numpy(elements: tuple[int, ...]) -> int:
     doubles, so u = r >> 1.  With counts, u(2x) is read from them directly.
     On the sort route sum u^2 is the sum of k^2 over the runs of k equal
     sums (``_square_runs``), and u(2x) is the width of the run of 2x, found
-    by two ``searchsorted`` calls on the table.
+    by two ``searchsorted`` calls on the table.  Past ``_SPLIT_MIN`` sums
+    the table comes as two (``_SumClasses``): the runs of both add to
+    sum u^2, and the doubles are looked up in the inside one, which holds
+    them all.
     """
     import numpy as np
 
@@ -635,13 +698,112 @@ def _energy_numpy(elements: tuple[int, ...]) -> int:
     def convolve():
         return _fft_counts((length,), arr, doubles) >> 1
 
+    classes = _SumClasses(arr)
     u, table = _pair_value_counts(n, 2 * diameter + 1, pairs, _unordered_pairs(arr, np.add),
-                                  (length,), convolve)
+                                  (length,), convolve, classes)
     if table is None:
         return 4 * int(np.dot(u, u)) + 4 * int(u[doubles].sum()) + n
     keys = doubles.astype(table.dtype)
     on_doubles = table.searchsorted(keys, "right") - table.searchsorted(keys, "left")
-    return 4 * _square_runs(table) + 4 * int(on_doubles.sum()) + n
+    return 4 * (_square_runs(table) + classes.cross_squares()) + 4 * int(on_doubles.sum()) + n
+
+
+class _SumClasses:
+    """The split of ``_energy_numpy``'s sorted sum table into two tables of
+    disjoint values, the second counted on a thread of its own.
+
+    Called with the table's dtype (as ``split`` of ``_pair_value_counts``,
+    whose docstring proves the split exact), it splits the offsets by bit v,
+    the lowest set bit of their OR, and returns the sorted table of the sums
+    inside the two classes; ``cross_squares()`` then gives sum k^2 over the
+    runs of the sorted table of the sums across them, and 0 if the split was
+    not taken.  Both class triangles are written by ``_unordered_pairs``
+    into the front of one array and the cross rectangle into its back, so
+    the memory is that of the whole table.
+    """
+
+    __slots__ = ("offsets", "_join")
+
+    def __init__(self, offsets: np.ndarray):
+        self.offsets = offsets
+        self._join = None
+
+    def __call__(self, dtype) -> np.ndarray:
+        import numpy as np
+
+        arr = self.offsets
+        bits = int(np.bitwise_or.reduce(arr))
+        odd = (arr & (bits & -bits)).astype(bool)
+        low, high = arr[~odd].astype(dtype), arr[odd].astype(dtype)
+        inside_low = low.size * (low.size - 1) // 2
+        inside = inside_low + high.size * (high.size - 1) // 2
+        table = np.empty(inside + low.size * high.size, dtype=dtype)
+        cross = table[inside:]
+        self._join = _in_parallel(_cross_squares, low, high, cross,
+                                  np.empty(2 * cross.size, dtype=bool))
+        _unordered_pairs(low, np.add)(0, low.size, dtype, out=table[:inside_low])
+        _unordered_pairs(high, np.add)(0, high.size, dtype, out=table[inside_low:inside])
+        table = table[:inside]
+        table.sort()
+        return table
+
+    def cross_squares(self) -> int:
+        """Sum k^2 over the runs of the cross table, once the thread counting
+        it has ended; its exception, if it raised one, is raised here."""
+        return 0 if self._join is None else self._join()
+
+
+def _cross_squares(low: np.ndarray, high: np.ndarray, out: np.ndarray,
+                   masks: np.ndarray) -> int:
+    """Sum k^2 over the runs of the sums x + y, x in ``low`` and y in
+    ``high``, written into ``out`` and sorted there, with ``masks`` the
+    scratch of ``_square_runs``."""
+    import numpy as np
+
+    np.add(low[:, None], high, out=out.reshape(low.size, high.size))
+    out.sort()
+    return _square_runs(out, masks)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS
+    has one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_parallel(part, *args):
+    """Start part(*args) and return a function that waits for it and
+    returns its result, or raises the very exception it raised.
+
+    With two or more usable CPUs the part runs on one fresh thread (numpy
+    releases the GIL for its array work) that the caller joins before it
+    returns, so no pool or thread outlives a count and a later fork finds
+    none; with one CPU it runs here, now.
+    """
+    if _usable_cpus() < 2:
+        result = part(*args)
+        return lambda: result
+    outcome = []
+
+    def target():
+        try:
+            outcome.append((part(*args), None))
+        except BaseException as exc:  # handed to the joining caller
+            outcome.append((None, exc))
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+
+    def join():
+        worker.join()
+        result, exc = outcome[0]
+        if exc is not None:
+            raise exc
+        return result
+
+    return join
 
 
 def _energy_counter(elements: tuple[int, ...]) -> int:

@@ -378,6 +378,9 @@ def kernel_cases(tmp_path):
             paths.append(str(path))
         cases.append((f"product-{name}", kernel, ["product", "--factors", ",".join(paths),
                                                   "--alphabet", str(alphabet), "--oracle"]))
+    # 319,600 pair sums, past intset._SPLIT_MIN: the sort in two residue classes
+    split = sorted(random.Random(2027).sample(range(10**6), 800))
+    cases.append(("energy-sort-split", "sort", ["energy", "--set", ",".join(map(str, split))]))
     return cases
 
 
@@ -400,6 +403,8 @@ KERNEL_STDOUT_SHA256 = {
     "product-sort": "ccdb3e1d86e2c7599fd11e0b632df725a4e09aa6f4d460acbd58528ce24b313d",
     "product-sort64": "d332adc17e3eb47b33e87d34d4cfbc4730022c262561bd942cd4ee7a26cd3355",
     "product-hashed": "0ffb912cc8795578b2c371583651a9bc9f3f0ccbe8d26633b1da2c3e7837a487",
+    # taken from the code before the split sort
+    "energy-sort-split": "a9691df90cf6b13befe3d16e28287a9364a4ce72304b3929047fd17c23465579",
 }
 
 
@@ -409,12 +414,12 @@ def record_kernels(monkeypatch):
     routes = []
     real_counts, real_hashed = intset._pair_value_counts, intset._energy_hashed
 
-    def counts_spy(n, bins, pairs, rows, shape, convolve):
+    def counts_spy(n, bins, pairs, rows, shape, convolve, split=None):
         def fft():
             routes.append("fft")
             return convolve()
 
-        counts, table = real_counts(n, bins, pairs, rows, shape, fft)
+        counts, table = real_counts(n, bins, pairs, rows, shape, fft, split)
         if table is not None:
             routes.append("sort" if table.dtype == np.int32 else "sort64")
         elif routes[-1:] != ["fft"]:

@@ -1,8 +1,13 @@
 """Core energy primitives: examples, identities, and cross-checks."""
 
 import json
+import multiprocessing
+import os
 import random
+import sys
+import threading
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from itertools import accumulate, combinations
 
 import numpy as np
@@ -428,6 +433,165 @@ def test_oracle_routes_agree(n, k, t, data):
 
 
 # ---------------------------------------------------------------------------
+# the sort of a large sum table in two residue classes, on two threads
+# ---------------------------------------------------------------------------
+
+def record_splits(monkeypatch, cpus=2):
+    """Pin the usable CPUs to ``cpus`` and record, per split count, the
+    sizes of the two classes, and every thread started."""
+    splits, threads = [], []
+    real_cross = intset._cross_squares
+
+    def cross_spy(low, high, out, masks):
+        splits.append((low.size, high.size))
+        return real_cross(low, high, out, masks)
+
+    class ThreadSpy(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(intset, "_cross_squares", cross_spy)
+    monkeypatch.setattr(threading, "Thread", ThreadSpy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    return splits, threads
+
+
+def odd_one_out(n, step, odd):
+    """n - 1 multiples of ``step`` and one element ``odd`` off them."""
+    return tuple(sorted(set(range(0, step * (n - 1), step)) | {odd}))
+
+
+SPLIT_SETS = {
+    "random n=724": tuple(sorted(random.Random(724).sample(range(10**6), 724))),
+    "random n=725": tuple(sorted(random.Random(725).sample(range(10**6), 725))),
+    "random n=1,000": tuple(sorted(random.Random(1000).sample(range(10**6), 1000))),
+    # sums past 2^31: the table is int64
+    "int64 table": tuple(sorted(random.Random(64).sample(range(2**30, 2**32), 800))),
+    "2^64-scale": tuple(2**64 + x for x in random.Random(65).sample(range(10**6), 800)),
+    "negative": tuple(-2**40 + x for x in random.Random(66).sample(range(10**6), 800)),
+    # one offset in class 1, then one in class 0 (the minimum is off the rest)
+    "one odd offset": odd_one_out(800, 6, 10**6 + 1),
+    "odd minimum": odd_one_out(800, 6000, -3),
+    "all 0 mod 8 but one": odd_one_out(800, 8 * 997, 4),
+    "progression of step 3,000": tuple(range(0, 3000 * 800, 3000)),
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_SETS)
+def test_split_sort_matches_counter_and_profile(name, monkeypatch):
+    a = tuple(sorted(SPLIT_SETS[name]))
+    n = len(a)
+    splits, threads = record_splits(monkeypatch)
+    routes = record_routes(monkeypatch)
+    want = energy_from_profile(difference_profile(a))
+    routes.clear()
+    assert energy_oracle(a) == want == _energy_counter(a)
+    assert routes == ["numpy", "sort64" if name == "int64 table" else "sort"]
+    if n * (n - 1) // 2 < intset._SPLIT_MIN:
+        assert n == 724 and splits == [] and threads == []
+        return
+    (low, high), = splits
+    assert low + high == n and low >= 1 and high >= 1 and len(threads) == 1
+    if name in ("one odd offset", "all 0 mod 8 but one"):
+        assert high == 1
+    if name == "odd minimum":
+        assert low == 1
+    if name == "progression of step 3,000":
+        assert want == max_energy(n) and low == high == 400
+
+
+def test_split_cut_is_at_725_elements():
+    assert 724 * 723 // 2 < intset._SPLIT_MIN == 2**18 <= 725 * 724 // 2
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_one_cpu_counts_both_classes_inline(affinity, monkeypatch):
+    a = SPLIT_SETS["random n=1,000"]
+    splits, threads = record_splits(monkeypatch, cpus=1)
+    if not affinity:
+        # where the OS has no affinity mask, os.cpu_count() decides
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert energy_oracle(a) == _energy_counter(a)
+    assert len(splits) == 1 and threads == []
+
+
+def test_one_thread_per_split_count_only(monkeypatch):
+    rng = random.Random(17)
+    sparse = tuple(sorted(rng.sample(range(10**6), 800)))
+    cases = [
+        (sparse, "sort", 1),
+        (SPLIT_SETS["random n=724"], "sort", 0),
+        # 319,600 pairs, at least as many as _SPLIT_MIN, on the other kernels
+        (tuple(sorted(rng.sample(range(2000), 800))), "fft", 0),
+        (tuple(sorted(rng.sample(range(1, 100_000), 798))) + (0, 100_000), "bincount", 0),
+    ]
+    for a, kernel, want in cases:
+        a = tuple(sorted(a))
+        splits, threads = record_splits(monkeypatch)
+        routes = record_routes(monkeypatch)
+        assert energy_oracle(a) == _energy_counter(a)
+        assert routes[1:2] == [kernel] and len(threads) == len(splits) == want
+        # a profile is never split
+        threads.clear()
+        difference_profile(a)
+        assert threads == []
+
+
+class WorkerFailure(Exception):
+    pass
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    failure = WorkerFailure("cross table")
+    record_splits(monkeypatch)
+
+    def failing(low, high, out, masks):
+        raise failure
+
+    monkeypatch.setattr(intset, "_cross_squares", failing)
+    with pytest.raises(WorkerFailure) as caught:
+        energy_oracle(SPLIT_SETS["random n=725"])
+    assert caught.value is failure
+
+
+def test_split_count_in_a_forked_child():
+    a = SPLIT_SETS["random n=1,000"]
+    want = _energy_counter(a)
+    alive = threading.active_count()
+    assert energy_oracle(a) == want
+    assert threading.active_count() == alive  # the worker has ended
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        assert pool.submit(energy_oracle, a).result(timeout=120) == want
+
+
+def test_split_counts_from_many_threads_at_once():
+    # four callers, each with its own worker per count, on two CPUs and a
+    # switch interval short enough to interleave every step of the counts
+    sets = [SPLIT_SETS[name] for name in ("random n=725", "random n=1,000", "int64 table",
+                                          "progression of step 3,000")]
+    want = [_energy_counter(a) for a in sets]
+    got = {}
+
+    def count(k):
+        got[k] = [energy_oracle(a) for a in sets[k:] + sets[:k]]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=count, args=(k,)) for k in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == {k: want[k:] + want[:k] for k in range(4)}
+
+
+# ---------------------------------------------------------------------------
 # the pure-Python Counter, the reference of the routes below
 # ---------------------------------------------------------------------------
 
@@ -487,6 +651,8 @@ KERNELS = {
     "fft": ({"_FFT_COST": 0, "_FFT_FIXED": -1}, "fft"),
     "bincount": ({"_FFT_COST": float("inf"), "_BINCOUNT_RATIO": float("inf")}, "bincount"),
     "sort": ({"_FFT_COST": float("inf"), "_BINCOUNT_RATIO": 0}, "sort"),
+    # the sort of every sum table in two residue classes, whatever its size
+    "split": ({"_FFT_COST": float("inf"), "_BINCOUNT_RATIO": 0, "_SPLIT_MIN": 0}, "sort"),
 }
 
 KERNEL_SETS = st.one_of(
@@ -523,12 +689,15 @@ def test_each_kernel_matches_counter_and_pair_loop(kernel, els, shift):
 
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(st.lists(st.tuples(st.integers(0, 50), st.integers(1, 40)), max_size=200),
-       st.sampled_from([np.int32, np.int64]))
-def test_square_runs_matches_counter(runs, dtype):
-    # runs of 1 to 40 equal values: few or many windows, and runs past d = 8
+       st.sampled_from([np.int32, np.int64]), st.integers(0, 3))
+def test_square_runs_matches_counter(runs, dtype, spare):
+    # runs of 1 to 40 equal values: few or many windows, and runs past d = 8;
+    # the same in a caller's scratch of stale values, longer than it needs
     table = np.sort(np.array([v for v, k in runs for _ in range(k)], dtype=dtype))
     got = intset._square_runs(table)
     assert type(got) is int and got == sum(c * c for c in Counter(table.tolist()).values())
+    masks = np.ones(max(0, 2 * (table.size - 1)) + spare, dtype=bool)
+    assert intset._square_runs(table, masks) == got
 
 
 def add_at(*changes):

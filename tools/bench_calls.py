@@ -23,7 +23,9 @@ slows both sides alike.  Per call and rung the result holds the median over
 the pairs of each side's best time; per metric, the median and quartiles of
 each side, the median over the pairs of the new side minus the old, and the
 pairs where the new side was lower.  Both sides must give the same result
-digest.  The result is written to ``BENCH_calls.json`` (``--out``).
+digest.  The result is written to ``BENCH_calls.json`` (``--out``), with the
+CPUs the run may use (``host.cpus``): under ``taskset -c 0`` it times the
+library's one-CPU path.
 """
 
 from __future__ import annotations
@@ -168,6 +170,8 @@ def main() -> None:
             "counts pairs where the new source was lower, median_pair_diff is the median "
             "of after minus before within each pair"),
         "host": {"cpu": cpu_model(), "nproc": os.cpu_count(),
+                 "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                 else os.cpu_count(),
                  "python": platform.python_version(), "numpy": numpy.__version__},
         "labels": {"before": "the library at --src", "after": "the library in this checkout"},
         **measure(sources),
