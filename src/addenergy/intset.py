@@ -62,15 +62,14 @@ first of three exact kernels that fits:
     differences) and as int64 past that.  The energy reads sum u^2 and
     sum u(2x) from the sorted table itself; only profiles need its runs.
     An energy's sum table of at least ``_SPLIT_MIN`` = 2^18 values (n >= 725)
-    is sorted as two tables with no value in common (``_SumClasses``): with
+    is sorted as two tables with no value in common (``_split_sums``): with
     v the lowest set bit of the OR of the offsets, the sums inside the two
     classes of bit v are = 0 mod 2^(v+1) and the sums across them = 2^v, so
     sum u^2 is the sum over the runs of both, and every double lies in the
     first.  A second thread builds, sorts and run-counts the cross table
     while the caller does the inside one, whenever the process may run on
-    two or more CPUs; otherwise both are counted inline by the same code.
-    That is one short-lived thread per count past the cut and none below
-    it, on the other kernels, for profiles or for group tables.
+    two or more CPUs; otherwise both are counted inline by the same code.  That is one short-lived thread per count past the cut and
+    none below it, on the other kernels, for profiles or for group tables.
 
 Every count on these routes is exact int64: a table value lies below 2^63,
 each count below n^2, and each energy term below E <= n^3 < 2^63 for
@@ -119,7 +118,7 @@ _FFT_FIXED = 2**14
 # each 128 MB; it keeps an integer set's n <= diameter + 1 <= 2^21
 _FFT_LENGTH_CAP = 2**22
 # a sum table of at least this many values on the sort route is counted as two
-# tables of disjoint values, one on a second thread (``_SumClasses``)
+# tables of disjoint values, one counted on a second thread (``_split_sums``)
 _SPLIT_MIN = 2**18
 # the constant c of the a priori rounding bound c * u * n * levels < 1/4
 _FFT_ERROR = 32
@@ -393,10 +392,10 @@ def _pair_value_counts(n: int, bins: int, pairs: int, rows, shape: tuple[int, ..
        kernel on small groups, where the ratio 1.0 it replaced did not, and
        the slower one on large groups between 1.0 and 1.5 bins per value.
 
-    With ``split`` (given only by ``_energy_numpy``, a ``_SumClasses``) and
-    at least ``_SPLIT_MIN`` = 2^18 pairs, the sort is ``split(dtype)``
-    instead: the unordered sums of offsets are split by bit v, the lowest
-    set bit of the OR of the offsets.  Every offset is 2^v x', x' even for
+    With ``split`` (given only by ``_energy_numpy``, by way of
+    ``_split_sums``) and at least ``_SPLIT_MIN`` = 2^18 pairs, the sort is
+    ``split(dtype)`` instead: the unordered sums of offsets are split by
+    bit v, the lowest set bit of the OR of the offsets.  Every offset is 2^v x', x' even for
     class 0 (which holds the offset 0) and odd for class 1 (which holds at
     least one offset, or v would be higher).  A sum inside one class is
     2^v (x' + y') with x' + y' even, so = 0 mod 2^(v+1); a sum across is
@@ -404,14 +403,15 @@ def _pair_value_counts(n: int, bins: int, pairs: int, rows, shape: tuple[int, ..
     sum u^2 is the sum of k^2 over the runs of both, and every double 2x is
     = 0 mod 2^(v+1), so it lies in the inside table.  ``split(dtype)``
     returns the inside table, sorted, and the cross table is counted on one
-    fresh thread meanwhile (or inline, on one usable CPU; ``_in_parallel``).
-    On the 2-core Xeon, best of 60 per call on random sets in [0, 10^6],
-    one table against two: n = 436 (94,830 pairs) 0.62 against 0.85 ms,
-    n = 555 (153,735) 0.94 against 0.93 ms, the tie, n = 673 1.39 against
-    1.18 ms, n = 725 (262,450) 1.66 against 1.37 ms; the cut sits at 2^18,
-    past the tie, so the thread's start is paid only where it is well
-    repaid.  Profiles and group tables read the distinct values of the whole
-    table, which two tables would first have to merge, so they never split.
+    fresh thread meanwhile (or inline, on one usable CPU; ``_alongside``).
+    On the 2-core Xeon, best of 60 per call on random sets in [0, 10^6]
+    (median of 6 fresh processes each), one table against two: n = 436
+    (94,830 pairs) 0.59 against 0.80 ms, n = 555 (153,735) 0.92 against
+    0.95 ms, the tie, n = 673 1.36 against 1.23 ms, n = 725 (262,450) 1.58
+    against 1.42 ms; the cut sits at 2^18, past the tie, so the thread's
+    start is paid only where it is well repaid.  Profiles and group tables read
+    the distinct values of the whole table, which two tables would first
+    have to merge, so they never split.
 
     Either of the first two returns (counts, None) with counts[v] the count
     of v, zeros included, for v below len(counts) >= bins; ``convolve()``
@@ -560,24 +560,22 @@ def _square_runs(table: np.ndarray, masks: np.ndarray | None = None) -> int:
     1.1 * 10^6 values) grew the freed heap past glibc's trim threshold, so
     that each later count faulted in fresh pages.
 
-    ``masks``, when given, is a bool array of at least 2 * (P - 1) values
-    that holds the two masks instead of two new arrays.  ``_SumClasses``
-    allocates it for the thread that counts the cross table: glibc serves a
-    second thread from an arena of its own, which keeps what it frees, so
-    masks allocated there raised the benchmark's peak RSS by about 3 MB
-    (``count-mix``, 2-core Xeon), and with the caller's scratch not at all.
+    The two masks are the halves of ``masks``, a bool array of at least
+    2 * (P - 1) values, new when not given.  ``_split_sums`` gives the one
+    of its worker thread, so that it is allocated by the caller: glibc
+    serves a second thread from an arena of its own, which keeps what it
+    frees, and masks allocated there raised the peak RSS of the
+    ``count-mix`` benchmark by about 3 MB (2-core Xeon).
     """
     import numpy as np
 
     size = table.size
+    neighbours = max(size - 1, 0)
     if masks is None:
-        same = table[1:] == table[:-1]
-        window = same.copy()
-    else:
-        neighbours = max(size - 1, 0)
-        same = np.equal(table[1:], table[:-1], out=masks[:neighbours])
-        window = masks[neighbours:2 * neighbours]
-        np.copyto(window, same)
+        masks = np.empty(2 * neighbours, dtype=bool)
+    same = np.equal(table[1:], table[:-1], out=masks[:neighbours])
+    window = masks[neighbours:2 * neighbours]
+    np.copyto(window, same)
     total, d = size, 1
     while d <= 8:
         count = int(np.count_nonzero(window))
@@ -611,7 +609,7 @@ def _unordered_pairs(arr: np.ndarray, op):
     ``rows(lo, hi, dtype, out=None)`` writes into ``out`` instead, when
     given: a contiguous 1-D array of ``dtype`` holding exactly the block's
     values ((hi - lo) * h plus the rows below n/2 that take one more), as
-    ``_SumClasses`` places two class triangles side by side in one array.
+    ``_split_sums`` places two class triangles side by side in one array.
     Concatenating two new arrays instead took about 1.5 times as long
     (n = 1,027 and 1,500, best of 40) and allocates the triangles twice.
     """
@@ -682,7 +680,7 @@ def _energy_numpy(elements: tuple[int, ...]) -> int:
     On the sort route sum u^2 is the sum of k^2 over the runs of k equal
     sums (``_square_runs``), and u(2x) is the width of the run of 2x, found
     by two ``searchsorted`` calls on the table.  Past ``_SPLIT_MIN`` sums
-    the table comes as two (``_SumClasses``): the runs of both add to
+    ``split`` makes it two (``_split_sums``): the runs of both add to
     sum u^2, and the doubles are looked up in the inside one, which holds
     them all.
     """
@@ -698,66 +696,68 @@ def _energy_numpy(elements: tuple[int, ...]) -> int:
     def convolve():
         return _fft_counts((length,), arr, doubles) >> 1
 
-    classes = _SumClasses(arr)
-    u, table = _pair_value_counts(n, 2 * diameter + 1, pairs, _unordered_pairs(arr, np.add),
-                                  (length,), convolve, classes)
-    if table is None:
-        return 4 * int(np.dot(u, u)) + 4 * int(u[doubles].sum()) + n
-    keys = doubles.astype(table.dtype)
-    on_doubles = table.searchsorted(keys, "right") - table.searchsorted(keys, "left")
-    return 4 * (_square_runs(table) + classes.cross_squares()) + 4 * int(on_doubles.sum()) + n
+    squares = None  # sum k^2 over the runs of both tables, once split
 
-
-class _SumClasses:
-    """The split of ``_energy_numpy``'s sorted sum table into two tables of
-    disjoint values, the second counted on a thread of its own.
-
-    Called with the table's dtype (as ``split`` of ``_pair_value_counts``,
-    whose docstring proves the split exact), it splits the offsets by bit v,
-    the lowest set bit of their OR, and returns the sorted table of the sums
-    inside the two classes; ``cross_squares()`` then gives sum k^2 over the
-    runs of the sorted table of the sums across them, and 0 if the split was
-    not taken.  Both class triangles are written by ``_unordered_pairs``
-    into the front of one array and the cross rectangle into its back, so
-    the memory is that of the whole table.
-    """
-
-    __slots__ = ("offsets", "_join")
-
-    def __init__(self, offsets: np.ndarray):
-        self.offsets = offsets
-        self._join = None
-
-    def __call__(self, dtype) -> np.ndarray:
-        import numpy as np
-
-        arr = self.offsets
-        bits = int(np.bitwise_or.reduce(arr))
-        odd = (arr & (bits & -bits)).astype(bool)
-        low, high = arr[~odd].astype(dtype), arr[odd].astype(dtype)
-        inside_low = low.size * (low.size - 1) // 2
-        inside = inside_low + high.size * (high.size - 1) // 2
-        table = np.empty(inside + low.size * high.size, dtype=dtype)
-        cross = table[inside:]
-        self._join = _in_parallel(_cross_squares, low, high, cross,
-                                  np.empty(2 * cross.size, dtype=bool))
-        _unordered_pairs(low, np.add)(0, low.size, dtype, out=table[:inside_low])
-        _unordered_pairs(high, np.add)(0, high.size, dtype, out=table[inside_low:inside])
-        table = table[:inside]
-        table.sort()
+    def split(dtype):
+        nonlocal squares
+        table, squares = _split_sums(arr, dtype)
         return table
 
-    def cross_squares(self) -> int:
-        """Sum k^2 over the runs of the cross table, once the thread counting
-        it has ended; its exception, if it raised one, is raised here."""
-        return 0 if self._join is None else self._join()
+    u, table = _pair_value_counts(n, 2 * diameter + 1, pairs, _unordered_pairs(arr, np.add),
+                                  (length,), convolve, split)
+    if table is None:
+        return 4 * int(np.dot(u, u)) + 4 * int(u[doubles].sum()) + n
+    if squares is None:
+        squares = _square_runs(table)
+    keys = doubles.astype(table.dtype)
+    on_doubles = table.searchsorted(keys, "right") - table.searchsorted(keys, "left")
+    return 4 * squares + 4 * int(on_doubles.sum()) + n
+
+
+def _split_sums(arr: np.ndarray, dtype) -> tuple[np.ndarray, int]:
+    """The unordered sums of the offsets ``arr`` as two tables of disjoint
+    values (``split`` of ``_pair_value_counts``, whose docstring proves it
+    exact): the sorted table of the sums inside the two classes of bit v,
+    the lowest set bit of the OR of the offsets, and sum k^2 over the runs
+    of it and of the table of the sums across them.
+
+    Both class triangles are written by ``_unordered_pairs`` into the front
+    of one array of ``dtype`` and the cross rectangle into its back, so the
+    memory is that of the whole table.  ``_cross_squares`` builds, sorts and
+    run-counts the cross table alongside the caller's work on the inside
+    one (``_alongside``), in run masks the caller allocates.  Counting the
+    cross runs on the caller after the join instead made the counts at
+    n = 1,027 and 1,500 about 20% and 35% slower per call (0.45 and 1.8 ms),
+    and left the peak RSS of ``count-mix`` where it was (+0.64 MB against
+    +0.72 MB over the one-table sort, ten pairs each).
+    """
+    import numpy as np
+
+    bits = int(np.bitwise_or.reduce(arr))
+    odd = (arr & (bits & -bits)).astype(bool)
+    low, high = arr[~odd].astype(dtype), arr[odd].astype(dtype)
+    inside_low = low.size * (low.size - 1) // 2
+    inside = inside_low + high.size * (high.size - 1) // 2
+    whole = np.empty(inside + low.size * high.size, dtype=dtype)
+    table, cross = whole[:inside], whole[inside:]
+    masks = np.empty(2 * max(cross.size - 1, 0), dtype=bool)
+
+    def sort_inside():
+        _unordered_pairs(low, np.add)(0, low.size, dtype, out=table[:inside_low])
+        _unordered_pairs(high, np.add)(0, high.size, dtype, out=table[inside_low:])
+        table.sort()
+        return _square_runs(table)
+
+    inside_squares, cross_squares = _alongside(
+        sort_inside, lambda: _cross_squares(low, high, cross, masks))
+    return table, inside_squares + cross_squares
 
 
 def _cross_squares(low: np.ndarray, high: np.ndarray, out: np.ndarray,
                    masks: np.ndarray) -> int:
     """Sum k^2 over the runs of the sums x + y, x in ``low`` and y in
-    ``high``, written into ``out`` and sorted there, with ``masks`` the
-    scratch of ``_square_runs``."""
+    ``high``, written into ``out`` and sorted there, with ``masks`` the run
+    masks of ``_square_runs``."""
     import numpy as np
 
     np.add(low[:, None], high, out=out.reshape(low.size, high.size))
@@ -773,37 +773,35 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _in_parallel(part, *args):
-    """Start part(*args) and return a function that waits for it and
-    returns its result, or raises the very exception it raised.
+def _alongside(here, there):
+    """(here(), there()): with two or more usable CPUs, ``there()`` runs on
+    one fresh thread while the caller runs ``here()`` (numpy releases the
+    GIL for its array work); with one CPU it runs inline after ``here()``.
 
-    With two or more usable CPUs the part runs on one fresh thread (numpy
-    releases the GIL for its array work) that the caller joins before it
-    returns, so no pool or thread outlives a count and a later fork finds
-    none; with one CPU it runs here, now.
+    The thread is joined before this returns or raises, so no pool or
+    thread outlives a count and a later fork finds none.  An exception of
+    ``here()`` propagates once the thread has ended; one of ``there()`` is
+    raised here as the very same object.
     """
     if _usable_cpus() < 2:
-        result = part(*args)
-        return lambda: result
+        return here(), there()
     outcome = []
 
     def target():
         try:
-            outcome.append((part(*args), None))
+            outcome.append(there())
         except BaseException as exc:  # handed to the joining caller
-            outcome.append((None, exc))
+            outcome.append(exc)
 
     worker = threading.Thread(target=target, daemon=True)
     worker.start()
-
-    def join():
+    try:
+        result = here()
+    finally:
         worker.join()
-        result, exc = outcome[0]
-        if exc is not None:
-            raise exc
-        return result
-
-    return join
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return result, outcome[0]
 
 
 def _energy_counter(elements: tuple[int, ...]) -> int:

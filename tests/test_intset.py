@@ -6,6 +6,7 @@ import os
 import random
 import sys
 import threading
+import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from itertools import accumulate, combinations
@@ -554,6 +555,32 @@ def test_worker_exception_reaches_the_caller(monkeypatch):
     with pytest.raises(WorkerFailure) as caught:
         energy_oracle(SPLIT_SETS["random n=725"])
     assert caught.value is failure
+
+
+def test_caller_exception_waits_for_the_worker(monkeypatch):
+    # the caller's part fails while the worker is still counting: the
+    # exception reaches the caller only once the worker has ended
+    failure = WorkerFailure("inside table")
+    splits, threads = record_splits(monkeypatch)
+    counted = []
+    real_cross, real_runs = intset._cross_squares, intset._square_runs
+
+    def slow_cross(low, high, out, masks):
+        time.sleep(0.2)
+        counted.append(real_cross(low, high, out, masks))
+
+    def failing_inside(table, masks=None):
+        if masks is None:
+            raise failure
+        return real_runs(table, masks)
+
+    monkeypatch.setattr(intset, "_cross_squares", slow_cross)
+    monkeypatch.setattr(intset, "_square_runs", failing_inside)
+    with pytest.raises(WorkerFailure) as caught:
+        energy_oracle(SPLIT_SETS["random n=725"])
+    assert caught.value is failure
+    (worker,) = threads
+    assert not worker.is_alive() and len(counted) == 1
 
 
 def test_split_count_in_a_forked_child():
