@@ -3,15 +3,17 @@
 Every subcommand prints one machine-readable result (JSON by default) on
 stdout; diagnostics go to stderr.  All potentially large numbers are emitted
 as decimal strings.  Exit codes: 0 success, 1 precondition error (a usage
-error or a bad ADDENERGY_BUDGET included), 2 budget exhaustion, 3 target
-energy unreached, 4 internal error (a broken invariant, such as a built
-witness failing its recount).
+error or a bad ADDENERGY_BUDGET included), 2 budget exhaustion or out of
+memory, 3 target energy unreached, 4 internal error (a broken invariant, such
+as a built witness failing its recount).
 
 Neither numpy nor mpmath is imported at module level, here or in the
 library (the import rule in ``intset``).  So a call that counts no set of 32
 or more elements, such as ``energy`` or ``construct`` below 32 elements,
 ``ratio-chain`` below w = 32, ``min-ratio`` or ``sidon`` without ``--check``,
-never loads numpy, and only ``density-curve`` loads mpmath.
+never loads numpy, and only ``density-curve`` loads mpmath.  ``profile`` is
+the exception: it loads numpy at any size, since ``intset._sorted_profile``
+builds the profile's arrays even on the Counter route.
 """
 
 from __future__ import annotations
@@ -323,6 +325,9 @@ def main(argv=None, out=None) -> int:
         return args.func(args, out)
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -872,11 +872,11 @@ def _energy_hashed(offsets: tuple[int, ...]) -> int:
     step 2^100 + 1, where every key is checked: the 8-byte table, bool masks
     over it, and in ``_square_runs`` the index of every window past d = 8.
     Every set past 2^62 of 32 or more elements comes here, whatever its
-    size (``tools/bench_hashed.py``, one run in a fresh process, 2-core
-    Xeon): 4,100 random 70-bit offsets took 0.28 s at 131 MB peak RSS, and
-    the 10^4 codes of a wide product at ``products.MATERIALIZE_CAP`` (two
-    factors of 100 random letters below 2^40, 5 * 10^7 pairs) 15.9 s at
-    1.6 GB.
+    size (``tools/ab.py hashed`` runs each count below in a fresh process;
+    2-core Xeon): 4,100 random 70-bit offsets took 0.28 s at 131 MB peak
+    RSS, and the 10^4 codes of a wide product at ``products.MATERIALIZE_CAP``
+    (two factors of 100 random letters below 2^40, 5 * 10^7 pairs) 15.9 s
+    at 1.6 GB.
     """
     import numpy as np
 

@@ -25,9 +25,6 @@ from .intset import (
     normalize,
 )
 
-SUITES = ("core", "constructions", "spectrum", "products", "groups")
-
-
 @dataclass(frozen=True)
 class CheckResult:
     suite: str
@@ -181,6 +178,7 @@ _CHECKS = {
     "products": _check_products,
     "groups": _check_groups,
 }
+SUITES = tuple(_CHECKS)
 
 
 def run_suite(suite: str = "all", seed: int = 0) -> list[CheckResult]:

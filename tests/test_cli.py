@@ -13,8 +13,9 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from addenergy import intset
+from addenergy import cli, intset
 from addenergy.cli import main
+from addenergy.verify import SUITES
 
 
 def run_cli(argv):
@@ -150,10 +151,12 @@ def test_density_curve_csv_alpha_is_exact(tmp_path):
 
 
 def test_verify_subcommand():
-    code, out = run_cli(["verify", "--suite", "core"])
+    code, out = run_cli(["verify", "--suite", "all"])
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
     assert out.strip().endswith("checks passed")
+    printed = {line.split()[1].rstrip(":") for line in out.splitlines()[:-1]}
+    assert printed == set(SUITES)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +173,16 @@ def test_exit_code_precondition():
 def test_exit_code_budget():
     code, _ = run_cli(["--budget", "100", "spectrum", "--n", "4", "--diameter", "12"])
     assert code == 2
+
+
+def test_exit_code_out_of_memory(monkeypatch, capsys):
+    def exhausted(a):
+        raise MemoryError("pair table of 10^9 values")
+
+    monkeypatch.setattr(cli, "energy_oracle", exhausted)
+    code, out = run_cli(["energy", "--set", "0,1,2"])
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "out of memory: pair table of 10^9 values\n"
 
 
 def test_budget_env_override(monkeypatch):
