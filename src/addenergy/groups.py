@@ -13,7 +13,8 @@ its flat mixed-radix index, and ``intset._pair_value_counts`` counts the full
 table of |A|^2 ordered pair sums by the first of its three exact kernels that
 fits:
 
-  * the FFT, where 0.6 * |G| log2 |G| + 2^14 < |A|^2 and |G| <= 2^22: rfftn
+  * the FFT, where 0.6 * |G| log2 |G| + 2^14 < 2.4 * |A|^2 and |G| <= 2^22
+    (a group table value costs 2.4 integer ones, ``_VALUE_COST``): rfftn
     over the cyclic orders adds in the group with no padding, r = irfftn of
     the squared transform, rounded to int64.  It runs only under the a priori
     rounding bound 32 * u * |A| * sum of levels < 1/4 (Percival, Math. Comp.
@@ -53,6 +54,9 @@ if TYPE_CHECKING:
 GROUP_ENERGY_CAP = 10_000
 # at or below this order, coordinate sums and flat codes of pair sums fit int64
 _FLAT_CODE_ORDER = 2**62
+# the cost of one group table value in integer ones, in the FFT cut of
+# ``intset._pair_value_counts``; see ``_flat_profile``
+_VALUE_COST = 2.4
 REPORT_DPS = 100
 
 
@@ -136,6 +140,20 @@ def _flat_profile(a: GroupSet) -> tuple[np.ndarray, np.ndarray]:
     the FFT route ``_fft_counts`` returns r itself: rfftn over the cyclic
     orders adds in the group, with no padding, and the doubles' codes give
     its parity check.
+
+    A table value costs about 8 integer ones to build and bincount
+    (per-coordinate sums, ``%`` and folding), and the FFT over several axes
+    more per call, so the cut weighs each value by ``_VALUE_COST`` = 2.4,
+    which puts it on the tie measured in Z_7^3 (n = 84 to 88): the FFT from
+    n = 87.  Lower quartile of 300 interleaved ``_flat_profile`` counts, FFT
+    against bincount (2-core Xeon): n = 50, 228 against 137 us; n = 72, 245
+    against 209; n = 84, 255 against 256; n = 88, 258 against 274; n = 100,
+    277 against 339; n = 121, 300 against 589.  At weight 1 the cut sat at
+    n = 135.  Other groups tie elsewhere: Z_31^3 between n = 260 and 330,
+    where this cut (n = 343) is a little late, and Z_101^2, whose prime
+    order sends pocketfft through Bluestein's algorithm, near n = 265, where
+    this cut (n = 202) is early: n = 200, 1.94 against 1.15 ms; n = 250,
+    1.97 against 1.78 ms; n = 300, 2.16 against 2.77 ms (``group_energy``).
     """
     import numpy as np
 
@@ -163,7 +181,7 @@ def _flat_profile(a: GroupSet) -> tuple[np.ndarray, np.ndarray]:
     # all n^2 codes count, so bincount while |G| < 1.5 * n^2; how that cut
     # fares on group tables is timed in the _pair_value_counts docstring
     return _distinct_counts(*_pair_value_counts(n, a.group.order, n * n, rows, orders,
-                                                convolve))
+                                                convolve, value_cost=_VALUE_COST))
 
 
 def _loop_profile(a: GroupSet) -> dict:

@@ -43,17 +43,19 @@ the differences and builds no profile.
 profile) use to count a table of P pair values in [0, bins), and it takes the
 first of three exact kernels that fits:
 
-  * the FFT, for dense tables, where 0.6 * L * log2(L) + 2^14 < P and L,
-    the transform length, is at most ``_FFT_LENGTH_CAP`` = 2^22: r = 1_A * 1_A
-    (or the correlation, for differences) by ``numpy.fft`` over the cyclic
-    group Z_L, L the power of two at least 2 * diameter + 1 for integers, so
-    nothing wraps, or over the group's own cyclic orders.  The cap keeps an
-    integer set at n <= diameter + 1 <= 2^21 (group sets stop at 10^4
-    elements), and its peak RSS at 32 bytes per point, 128 MB at the cap.
-    It is taken only while the a priori rounding bound of
-    ``_fft_error_bound`` (Percival, Math. Comp. 72 (2003) 387-395:
-    32 * u * n * log2(L) < 1/4, u = 2^-53, with Bluestein's transforms for
-    other orders counted apart) holds, so rounding gives r exactly; the
+  * the FFT, for dense tables, where 0.6 * L * log2(L) + 2^14 < c * P and
+    L, the transform length, is at most ``_FFT_LENGTH_CAP`` = 2^22, with c
+    the cost of one table value in integer ones (1 here, 2.4 for group
+    tables): r = 1_A * 1_A (or the correlation, for differences) by
+    ``numpy.fft`` over the cyclic group Z_L, L the least 2^a 3^b 5^c at
+    least 2 * diameter + 1 for integers (``_transform_length``), so nothing
+    wraps, or over the group's own cyclic orders.  The cap keeps an integer
+    set at n <= diameter + 1 <= 2^21 (group sets stop at 10^4 elements), and
+    its peak RSS at 32 bytes per point, 128 MB at the cap.  It is taken only
+    while the a priori rounding bound of ``_fft_error_bound`` (Percival,
+    Math. Comp. 72 (2003) 387-395: 32 * u * n * levels < 1/4, u = 2^-53, the
+    levels log2(L) for a power of two and bounded apart for mixed radices
+    and Bluestein's transforms) holds, so rounding gives r exactly; the
     rounded r is then checked exactly all the same (``_fft_counts``);
   * ``np.bincount``, in row blocks of at most ``_PAIR_BLOCK`` values, while
     bins < min(1.5 * P, ``_PAIR_BLOCK`` = 8 * 10^6);
@@ -91,6 +93,7 @@ import re
 import threading
 from bisect import bisect_left
 from collections import Counter
+from functools import cache
 from itertools import combinations, starmap
 from math import gcd, log2, prod
 from operator import add, lt, sub
@@ -110,8 +113,9 @@ _NUMPY_MIN_SIZE = 32
 _PAIR_BLOCK = 8_000_000
 # bincount below this many bins per table value, the sort above it
 _BINCOUNT_RATIO = 1.5
-# the FFT where _FFT_COST * L * log2(L) + _FFT_FIXED < table values, L the
-# transform length; _FFT_FIXED is the FFT's cost per call (about 0.1 ms) in values
+# the FFT where _FFT_COST * L * log2(L) + _FFT_FIXED < table values, weighed by
+# their cost, L the transform length; _FFT_FIXED is the FFT's cost per call
+# (about 0.1 ms) in integer table values
 _FFT_COST = 0.6
 _FFT_FIXED = 2**14
 # longest transform the FFT route takes: 2^22 points, at 32 bytes of peak RSS
@@ -350,7 +354,8 @@ def _int64_safe(elements) -> bool:
 
 
 def _pair_value_counts(n: int, bins: int, pairs: int, rows, shape: tuple[int, ...],
-                       convolve, split=None) -> tuple[np.ndarray | None, np.ndarray | None]:
+                       convolve, split=None, *, value_cost: float = 1.0
+                       ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Count the values of an n-row table of ``pairs`` pair values in [0, bins).
 
     The one rule every numpy count of pair values goes through.  It takes
@@ -358,9 +363,11 @@ def _pair_value_counts(n: int, bins: int, pairs: int, rows, shape: tuple[int, ..
 
     1. The FFT, where the transform over the cyclic group of ``shape`` (of
        L points) is short next to the table: ``_FFT_COST`` * L * log2(L) +
-       ``_FFT_FIXED`` < pairs, L <= ``_FFT_LENGTH_CAP`` and
-       ``_fft_error_bound`` < 1/4.  ``convolve()`` returns the counts.  On
-       the 2-core Xeon an FFT count takes about 0.1 ms plus 1.5 ns per
+       ``_FFT_FIXED`` < ``value_cost`` * pairs, L <= ``_FFT_LENGTH_CAP``
+       and ``_fft_error_bound`` < 1/4.  ``convolve()`` returns the counts.
+       ``value_cost`` is what one table value costs in integer ones: 1 for
+       the integer tables, more for a group's (``groups._flat_profile``).
+       On the 2-core Xeon an FFT count takes about 0.1 ms plus 1.5 ns per
        L log2(L) up to L = 2^16 and 3-5 ns past it, and building and
        bincounting the table 3-5 ns per value, so for integer sums the two
        tie at L log2(L) = 1.2 to 2.2 pairs (n = 420 to 3,000), and at 20,000
@@ -369,7 +376,14 @@ def _pair_value_counts(n: int, bins: int, pairs: int, rows, shape: tuple[int, ..
        L = 2^13, 1,100 at 2^16, 2,900 at 2^19), so the one cut fits it too:
        on 26 sets where it takes the FFT (L = 2^9 to 2^16, n = 200 to
        1,600) the correlation took 0.07-3.0 ms, and the bincount 1.2 to 11
-       times as long.
+       times as long.  Those lengths were powers of two; on the lengths
+       2^a 3^b 5^c of ``_transform_length`` the ties stay near the same
+       cut.  Integer sums, lower quartile of 100 interleaved runs each:
+       L = 1,080 ties at n = 200 (19,900 pairs; 0.15 ms each), the cut at
+       n = 215; L = 9,216 at n = 450 (101,000 pairs, 0.43 ms), the cut at
+       n = 423; L = 12,000 at about n = 505 (127,000 pairs, 0.6 ms), the
+       cut at n = 478.  The difference correlation at L = 9,216 ties at
+       n = 440, the cut at n = 423.
     2. ``np.bincount``, where bins < min(``_BINCOUNT_RATIO`` * pairs,
        ``_PAIR_BLOCK``), in blocks of ``_PAIR_BLOCK // width`` rows, width =
        ceil(pairs / n) the most values a row holds, so at most
@@ -427,7 +441,7 @@ def _pair_value_counts(n: int, bins: int, pairs: int, rows, shape: tuple[int, ..
 
     length = prod(shape)
     if (length <= _FFT_LENGTH_CAP
-            and _FFT_COST * length * log2(length) + _FFT_FIXED < pairs
+            and _FFT_COST * length * log2(length) + _FFT_FIXED < value_cost * pairs
             and _fft_error_bound(n, shape) < 0.25):
         return convolve(), None
     if bins < min(_BINCOUNT_RATIO * pairs, _PAIR_BLOCK):
@@ -454,6 +468,8 @@ def _fft_levels(m: int) -> float:
     sent by pocketfft through Bluestein's algorithm: three power-of-two
     transforms of length below 4m with chirp products between them.
     3 * (log2(m) + 2) + q, q the largest prime factor of m, bounds both.
+    An integer set's length 2^a 3^b 5^c (``_transform_length``) that is not
+    a power of two so counts at most 3 * (log2(m) + 2) + 5 levels.
     """
     if m & (m - 1) == 0:
         return log2(m)
@@ -475,7 +491,10 @@ def _fft_error_bound(n: int, shape: tuple[int, ...]) -> float:
     indicator ||1_A||_2^2 = n.  A transform over several cyclic orders is one
     per axis, so their levels (``_fft_levels``) add up; the constant 32
     doubles Percival's for pocketfft's mixed radices and the higher-order
-    terms.  Below 1/4, ``np.rint`` gives every r(s) exactly.
+    terms.  Below 1/4, ``np.rint`` gives every r(s) exactly.  For an integer
+    set the levels stay below 3 * (22 + 2) + 5 = 77 up to the cap, so the
+    bound holds for every n below 2^53 / (128 * 77), about 9 * 10^11, far
+    past the n <= 2^21 the cap allows.
     """
     return _FFT_ERROR * 2.0**-53 * n * sum(_fft_levels(m) for m in shape)
 
@@ -525,10 +544,38 @@ def _fft_counts(shape: tuple[int, ...], codes: np.ndarray,
     return r
 
 
+@cache
+def _smooth_lengths() -> tuple[int, ...]:
+    """The 660 numbers 2^a 3^b 5^c up to ``_FFT_LENGTH_CAP``, ascending; built
+    on first use, as building them costs about 0.1 ms."""
+    lengths = [1]
+    for q in (2, 3, 5):
+        grown = []
+        for x in lengths:
+            while x <= _FFT_LENGTH_CAP:
+                grown.append(x)
+                x *= q
+        lengths = grown
+    return tuple(sorted(lengths))
+
+
 def _transform_length(diameter: int) -> int:
-    """The power of two at least 2 * diameter + 1: sums and differences of
-    offsets in [0, diameter] then never wrap around Z_L."""
-    return 1 << (2 * diameter).bit_length()
+    """The least L = 2^a 3^b 5^c at least 2 * diameter + 1: sums and
+    differences of offsets in [0, diameter] then never wrap around Z_L.
+
+    pocketfft factors such an L into passes of radix 2, 3, 4 and 5, and a
+    round trip (rfft, square, irfft, rint) of 1,000 points took 227 us at
+    L = 9,216 and 311 us at 12,000 against 451 us at 2^14, the power of two
+    the same sets took before (best of 200, 2-core Xeon).  Past ``_FFT_LENGTH_CAP``, which no FFT count
+    reaches, this is the power of two at least 2 * diameter + 1, found in
+    O(1) whatever the diameter: every ``_int64_safe`` energy and profile
+    asks, the wide ones with diameters near 10^12 included.
+    """
+    need = 2 * diameter + 1
+    if need > _FFT_LENGTH_CAP:
+        return 1 << (2 * diameter).bit_length()
+    lengths = _smooth_lengths()
+    return lengths[bisect_left(lengths, need)]
 
 
 def _distinct_counts(counts: np.ndarray | None,
@@ -970,21 +1017,26 @@ def _wide_pairs_of(keys: np.ndarray, h: np.ndarray, order: np.ndarray, narrow: i
     import numpy as np
 
     n = h.size
-    wide_h = h[narrow:]
+    wide = n - narrow
     if keys.size < n:
         residues = h[order]
-        step = max(1, block // wide_h.size)
+        descending = h[narrow:].argsort()[::-1] + narrow  # the wide b, h_b descending
+        negated = _HASH_MODULUS - h[descending]  # ascending
+        step = max(1, block // wide)
         for lo in range(0, keys.size, step):
-            # want[b - narrow, j] = (K_j - h_b) mod P: each row ascends, but for one wrap
-            want = keys[lo:lo + step] + (_HASH_MODULUS - wide_h)[:, None]
+            # want[k, j] = (K_k - h_b) mod P for the j-th wide b by descending
+            # h_b: each row ascends but for one wrap, so searchsorted takes
+            # its sorted-keys path (rows of one b each, keys ascending, took
+            # 1.5 times as long at n = 457: 72 keys by 361 wide offsets)
+            want = keys[lo:lo + step, None] + negated
             np.subtract(want, _HASH_MODULUS, out=want, where=want >= _HASH_MODULUS)
             want = want.ravel()
             at = residues.searchsorted(want)
             np.minimum(at, n - 1, out=at)
             cells = np.flatnonzero(residues[at] == want)
             a = order[at[cells]]
-            b, k = np.divmod(cells, min(step, keys.size - lo))
-            b += narrow
+            k, j = np.divmod(cells, wide)
+            b = descending[j]
             keep = a < b
             yield lo + k[keep], a[keep], b[keep]
     else:

@@ -92,3 +92,19 @@ def test_no_option_beyond_probe_src_and_out(ab, tmp_path):
         tool(ab, tmp_path, "--label", "after")
     with pytest.raises(SystemExit):
         ab.main(["calls"])
+
+
+def test_calls_times_every_rung_product_included(ab, monkeypatch):
+    # one in-process run of the probe, at one run per call and the fewest passes
+    monkeypatch.setattr(ab, "BEST_OF", 1)
+    monkeypatch.setattr(ab, "PASS_SECONDS", 0.0)
+    out = ab.calls()
+    products = [k for k in out if k.startswith("product_energy_oracle product n=")]
+    # six products, named by their factor sizes: two share each size
+    assert len(products) == 6 and "product_energy_oracle product n=20x36 us" in products
+    assert out["product_energy_oracle product total us"] \
+        == pytest.approx(sum(out[k] for k in products))
+    for shape in ("small", "sparse", "dense", "wide"):
+        assert out[f"energy_oracle {shape} total us"] > 0
+    assert out["GroupSet.of group total us"] > 0
+    assert len(out["count-mix digest"]) == 64

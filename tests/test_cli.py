@@ -394,6 +394,19 @@ def kernel_cases(tmp_path):
     # 319,600 pair sums, past intset._SPLIT_MIN: the sort in two residue classes
     split = sorted(random.Random(2027).sample(range(10**6), 800))
     cases.append(("energy-sort-split", "sort", ["energy", "--set", ",".join(map(str, split))]))
+    # FFT lengths 2^a 3^b 5^c that were 2^14: 9,600 points for 1,200 elements
+    # below 4,800 (count-mix's dense rung), 12,288 for three factors of 10
+    # letters of 12 (codes in radix 23 spanning 6,083)
+    rng = random.Random(2028)
+    dense = sorted(rng.sample(range(4800), 1200))
+    cases.append(("energy-fft-dense", "fft", ["energy", "--set", ",".join(map(str, dense))]))
+    paths = []
+    for j in range(3):
+        path = tmp_path / f"fft3-{j}.json"
+        path.write_text(json.dumps([str(x) for x in rng.sample(range(12), 10)]))
+        paths.append(str(path))
+    cases.append(("product-fft3", "fft", ["product", "--factors", ",".join(paths),
+                                          "--alphabet", "12", "--oracle"]))
     return cases
 
 
@@ -418,6 +431,9 @@ KERNEL_STDOUT_SHA256 = {
     "product-hashed": "0ffb912cc8795578b2c371583651a9bc9f3f0ccbe8d26633b1da2c3e7837a487",
     # taken from the code before the split sort
     "energy-sort-split": "a9691df90cf6b13befe3d16e28287a9364a4ce72304b3929047fd17c23465579",
+    # taken from the code before the 2^a 3^b 5^c transform lengths
+    "energy-fft-dense": "05942232137343f2f71bf3c323296370e73d93a2a8431a485052054ecd047900",
+    "product-fft3": "511e35fe6ce2bea52a53bf76eabf5c44cf969e9aa0322b296cfe21843a95eccc",
 }
 
 

@@ -113,9 +113,9 @@ def record_group_routes(monkeypatch):
         routes.append("bincount")
         return real_bincount(*args, **kwargs)
 
-    def counts_spy(*args):
+    def counts_spy(*args, **kwargs):
         before = len(routes)
-        counts, table = real_counts(*args)
+        counts, table = real_counts(*args, **kwargs)
         if len(routes) == before:
             routes.append("fft" if table is None
                           else "sort" if table.dtype == np.int32 else "sort64")
@@ -152,13 +152,15 @@ def test_group_profile_routes(monkeypatch, orders, min_size, route):
 
 @pytest.mark.parametrize("orders, size, route", [
     # Z_7^3: the sort iff 343 >= 1.5 * n^2 ordered pairs, so up to n = 15;
-    # the FFT iff 0.6 * 343 * log2(343) + 2^14 = 18,117 < n^2, so from n = 135
+    # the FFT iff 0.6 * 343 * log2(343) + 2^14 = 18,117 < 2.4 * n^2, so from
+    # n = 87 (2.4 * 87^2 = 18,166; 2.4 * 86^2 = 17,750)
     ((7, 7, 7), 15, "sort"),
     ((7, 7, 7), 16, "bincount"),
-    ((7, 7, 7), 134, "bincount"),
-    ((7, 7, 7), 135, "fft"),
+    ((7, 7, 7), 86, "bincount"),
+    ((7, 7, 7), 87, "fft"),
     ((2, 4, 6), 5, "sort"),  # 48 >= 1.5 * 25
-    ((2, 4, 6), 6, "bincount"),  # 48 < 1.5 * 36; the FFT would need n^2 > 16,545
+    # 48 < 1.5 * 36; the FFT would need 2.4 * n^2 > 16,545, n > 48 = |G|
+    ((2, 4, 6), 6, "bincount"),
     ((65537, 65537), 3, "sort64"),  # codes past 2^31: an int64 table
 ])
 def test_group_profile_cuts(monkeypatch, orders, size, route):

@@ -362,8 +362,8 @@ def test_bincount_unique_boundary(monkeypatch):
 def test_fft_boundary(monkeypatch):
     # diameter 511 transforms over L = 1,024 points: the FFT iff
     # 0.6 * 1,024 * 10 + 2^14 = 22,528 < n(n-1)/2, so from n = 213 (22,578
-    # pairs) but not at n = 212 (22,366); at diameter 512, L = 2,048 and the
-    # cut rises to 29,901 pairs
+    # pairs) but not at n = 212 (22,366); at diameter 512, L = 1,080
+    # (2^3 * 3^3 * 5) and the cut rises to 22,914 pairs
     routes = record_routes(monkeypatch)
     for n, top, want in ((212, 511, "bincount"), (213, 511, "fft"), (213, 512, "bincount")):
         a = IntSet(list(range(n - 1)) + [top])
@@ -372,6 +372,56 @@ def test_fft_boundary(monkeypatch):
         routes.clear()
         assert energy_oracle(a) == by_profile == _energy_counter(a.elements)
         assert routes == ["numpy", want]
+
+
+def is_5_smooth(m):
+    for q in (2, 3, 5):
+        while m % q == 0:
+            m //= q
+    return m == 1
+
+
+def least_5_smooth(m):
+    while not is_5_smooth(m):
+        m += 1
+    return m
+
+
+def test_transform_length_is_the_least_5_smooth_length():
+    # every diameter up to 5,000, each against a scan upwards from 2D + 1
+    length = 1
+    for d in range(5001):
+        if length < 2 * d + 1:
+            length = least_5_smooth(2 * d + 1)
+        assert intset._transform_length(d) == length, d
+    # sampled up to the cap, 2D + 1 <= 2^22, its last diameter included
+    rng = random.Random(22)
+    top = (intset._FFT_LENGTH_CAP - 1) // 2
+    for d in [top, top - 1, *(rng.randrange(5001, top) for _ in range(300))]:
+        assert intset._transform_length(d) == least_5_smooth(2 * d + 1), d
+    assert intset._transform_length(top) == intset._FFT_LENGTH_CAP
+    assert len(intset._smooth_lengths()) == 660
+
+
+@pytest.mark.parametrize("diameter", [2**21, 2**21 + 1, 3 * 10**6, 10**12, 2**62 - 1])
+def test_transform_length_past_the_cap_is_a_power_of_two(diameter):
+    # 2D + 1 > 2^22: no FFT count takes it, and it costs O(1) at any diameter
+    length = intset._transform_length(diameter)
+    assert length > intset._FFT_LENGTH_CAP and length & (length - 1) == 0
+    assert length // 2 < 2 * diameter + 1 <= length
+
+
+@pytest.mark.parametrize("diameter, length", [(2399, 4800), (4512, 9216), (5999, 12000)])
+def test_fft_on_lengths_with_factors_3_and_5(diameter, length, monkeypatch):
+    # 600 elements in [0, diameter], ends included: 179,700 pairs, past the
+    # cut on each length (the product rung's codes span 4,512)
+    rng = random.Random(diameter)
+    a = (0, *sorted(rng.sample(range(1, diameter), 598)), diameter)
+    assert intset._transform_length(diameter) == length
+    routes = record_routes(monkeypatch)
+    assert _energy_numpy(a) == _energy_counter(a)
+    assert difference_profile(a).positive == pair_loop_differences(a)
+    assert routes == ["fft", "fft"]
 
 
 def test_bincount_array_is_a_power_of_two():
@@ -712,6 +762,26 @@ def test_each_kernel_matches_counter_and_pair_loop(kernel, els, shift):
     assert set(routes) == {label}
     assert type(e) is int and e == _energy_counter(a) == literal_sum_energy(a)
     assert prof.positive == pair_loop_differences(a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(els=KERNEL_SETS)
+def test_fft_kernel_transforms_over_the_least_5_smooth_length(els):
+    # the FFT forced: each count transforms over the least 2^a 3^b 5^c at
+    # least 2D + 1 and matches the Counter, up to the cap, past which none runs
+    a = tuple(sorted(els))
+    lengths = []
+    real = intset._fft_counts
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(intset, "_fft_counts",
+                   lambda shape, codes, doubles: lengths.append(shape) or real(shape, codes, doubles))
+        for name, value in KERNELS["fft"][0].items():
+            mp.setattr(intset, name, value)
+        e = _energy_numpy(a)
+        prof = difference_profile(a)
+    need = 2 * (a[-1] - a[0]) + 1
+    assert lengths == ([] if need > intset._FFT_LENGTH_CAP else [(least_5_smooth(need),)] * 2)
+    assert e == _energy_counter(a) and prof.positive == pair_loop_differences(a)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)

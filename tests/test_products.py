@@ -16,7 +16,7 @@ from addenergy import (
     product_set,
     ratio_chain,
 )
-from addenergy import intset
+from addenergy import intset, products
 from addenergy.products import _encode
 
 
@@ -198,3 +198,40 @@ def test_oracle_hashes_wide_products_of_any_size(monkeypatch):
     routes = record_code_routes(monkeypatch)
     assert product_energy_oracle(p) == product_energy(p)
     assert routes == ["hashed"]
+
+
+def encode_by_loop(p):
+    """The codes as the tuple-by-tuple loop builds them: digits in radix 2M - 1."""
+    radix = 2 * p.alphabet_size - 1
+    codes = []
+    for tup in materialize(p):
+        c = 0
+        for digit in tup:
+            c = c * radix + digit
+        codes.append(c)
+    return codes
+
+
+@pytest.mark.parametrize("factors, alphabet, by_numpy", [
+    # d = 1, 2, 3 with 32 tuples or more: numpy builds the codes
+    ([range(0, 48, 2)] * 2 + [[5]], 48, True),
+    ([range(40)], 40, True),
+    ([[0, 3, 7, 47], range(0, 48, 3)], 48, True),
+    ([[1, 2, 9], range(10), [0, 4, 8, 9]], 10, True),
+    # under 32 tuples: the loop, so the Counter loads no numpy
+    ([[0, 1], [0, 2, 3]], 4, False),
+    # alphabet 2^20: radix^3 = (2^21 - 1)^3 < 2^63, so numpy, at the edge
+    ([[0, 2**20 - 1], range(0, 2**20, 2**15), [0, 1]], 2**20, True),
+    # one letter more: radix^3 = (2^21 + 1)^3 >= 2^63, Python ints by the loop
+    ([[0, 2**20 - 1], range(0, 2**20, 2**15), [0, 1]], 2**20 + 1, False),
+    ([[0, 1, 10**18], [0, 10**17]], 10**18 + 1, False),
+])
+def test_encode_matches_the_loop(factors, alphabet, by_numpy, monkeypatch):
+    p = product_set(factors, alphabet)
+    loops = []
+    monkeypatch.setattr(products, "materialize", lambda p: loops.append(p) or materialize(p))
+    codes = _encode(p)
+    assert bool(loops) != by_numpy
+    assert codes == encode_by_loop(p)
+    assert all(type(c) is int for c in codes)
+    assert codes == sorted(set(codes))  # lexicographic order: ascending, distinct

@@ -10,9 +10,10 @@ Each run of a probe is a fresh interpreter whose ``PYTHONPATH`` is one side's
   loads (from one more, untimed run);
 * ``calls``: on this checkout's count-mix deck of seed 1, the best of
   ``BEST_OF`` runs of ``IntSet``, ``energy_oracle``, ``difference_profile``
-  (where the workload profiles) and ``GroupSet.of`` on every rung, and their
-  sums per shape; then ``bench/run.py``'s pass loop for ``PASS_SECONDS``, with
-  its ``op_ms_p50``, ``wall_s``, ``op_ms_tail`` and result digest;
+  (where the workload profiles), ``product_energy_oracle`` and
+  ``GroupSet.of`` on every rung, and their sums per shape; then
+  ``bench/run.py``'s pass loop for ``PASS_SECONDS``, with its ``op_ms_p50``,
+  ``wall_s``, ``op_ms_tail`` and result digest;
 * ``hashed``: per build-band seed, the sums over the witnesses of the best of
   ``BEST_OF`` runs of ``intset._energy_hashed`` on a witness's offsets and of
   its build with the self-check replaced by the known energy (the schedule);
@@ -106,27 +107,31 @@ def calls() -> dict:
     sys.path.insert(0, str(BENCH))
     import run
     import workloads
-    from addenergy import groups, intset
+    from addenergy import groups, intset, products
 
     wl = workloads.make("count-mix", ROOT / "src")
     deck = wl.deck(CALLS_SEED)
     out, totals = {}, {}
 
-    def record(call: str, shape: str, n: int, *timed) -> None:
+    def record(call: str, shape: str, size: str, *timed) -> None:
         us = 1e6 * best_s(*timed)
-        out[f"{call} {shape} n={n} us"] = us
+        out[f"{call} {shape} n={size} us"] = us
         totals[f"{call} {shape} total us"] = totals.get(f"{call} {shape} total us", 0.0) + us
 
     for item in deck:
         if item.kind == "energy":
             (els,) = item.args
-            record("IntSet(tuple)", item.shape, len(els), intset.IntSet, els)
-            record("energy_oracle", item.shape, len(els), intset.energy_oracle, els)
+            n = str(len(els))
+            record("IntSet(tuple)", item.shape, n, intset.IntSet, els)
+            record("energy_oracle", item.shape, n, intset.energy_oracle, els)
             if len(els) <= workloads.PROFILE_CHECK_MAX:
-                record("difference_profile", item.shape, len(els), intset.difference_profile,
-                       els)
+                record("difference_profile", item.shape, n, intset.difference_profile, els)
+        elif item.kind == "product":
+            # factor sizes, as two products of one size differ; 48 letters, as CountMix.op
+            record("product_energy_oracle", item.shape, "x".join(str(len(f)) for f in item.args),
+                   products.product_energy_oracle, products.product_set(item.args, 48))
         elif item.kind in ("sum_profile", "cauchy_bound_check"):
-            record("GroupSet.of", item.shape, len(item.args), groups.GroupSet.of,
+            record("GroupSet.of", item.shape, str(len(item.args)), groups.GroupSet.of,
                    workloads._Z7_CUBE, item.args)
     out.update(totals)
     passes, reference, outcome, _ = run.measure(wl, deck, PASS_SECONDS, None)
