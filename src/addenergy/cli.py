@@ -25,7 +25,7 @@ import sys
 from . import constructions as cons
 from . import groups, products, spectrum
 from .errors import BudgetError
-from .intset import IntSet, difference_profile, energy_oracle
+from .intset import IntSet, _json_int, difference_profile, energy_oracle
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -40,7 +40,9 @@ def _emit(payload: dict, out) -> None:
 
 
 def _parse_set(text: str) -> IntSet:
-    return IntSet(int(tok) for tok in text.replace(",", " ").split())
+    """Comma- or space-separated decimal integers, each read as a factor file's
+    strings are: ASCII digits with an optional sign, of any length."""
+    return IntSet(_json_int(tok) for tok in text.replace(",", " ").split())
 
 
 def _load_factor(path: str) -> IntSet:
@@ -253,7 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("energy", help="additive energy of an integer set")
-    p.add_argument("--set", required=True, help="comma- or space-separated integers")
+    p.add_argument("--set", required=True,
+                   help="comma- or space-separated decimal integers, of any length")
     p.set_defaults(func=_cmd_energy)
 
     p = sub.add_parser("profile", help="positive difference profile of a set")
@@ -314,6 +317,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None, out=None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Python's limit on int <-> str conversion (4,300 digits from 3.11, where
+    ``sys.set_int_max_str_digits`` exists) is lifted while it runs, so input
+    and output integers have any length, and restored on every path out.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv, out)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _run(argv, out) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse's usage-error code 2 means budget here

@@ -29,7 +29,12 @@ fits:
 For the bincount and the sort, pair sums are folded from per-coordinate
 modular sums (each below 2^63) into codes below |G|.  Every r(x) <= |A| <=
 ``GROUP_ENERGY_CAP``, so sum r^2 <= |A|^3 fits int64.  Groups past 2^62 take
-an exact pure-Python pair loop.
+the integers' pure-Python count (``_loop_profile``): one ``Counter`` of the
+sums of distinct pairs over ``combinations``, each count doubled, plus one
+for each element at its double, so r = 2u + v, where v(x) = #{a : 2a = x}
+can exceed 1 under 2-torsion.  Neither route sorts the elements: the
+frozenset is read in its own order, and the codes come out ascending from
+``intset._distinct_counts``.
 
 numpy and mpmath are imported inside the functions that use them, as the
 import rule in ``intset`` says: the group counts load numpy, and only the
@@ -39,9 +44,11 @@ tradeoff points load mpmath.
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, combinations, product, starmap
 from typing import TYPE_CHECKING
 
 from .intset import (_as_intset, _distinct_counts, _fft_counts, _pair_value_counts,
@@ -62,11 +69,19 @@ REPORT_DPS = 100
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Direct product of cyclic groups of the given orders."""
+    """Direct product of cyclic groups of the given orders.
+
+    Each order is taken through ``operator.index``, so numpy ints work and
+    a float does not, and kept as a tuple of Python ints.
+    """
 
     orders: tuple[int, ...]
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "orders", tuple(map(operator.index, self.orders)))
+        except TypeError:
+            raise ValueError(f"cyclic orders must be integers, got {self.orders!r}") from None
         if not self.orders or any(m < 2 for m in self.orders):
             raise ValueError("cyclic orders must all be >= 2")
 
@@ -159,8 +174,8 @@ def _flat_profile(a: GroupSet) -> tuple[np.ndarray, np.ndarray]:
 
     _check_size(a)
     orders = a.group.orders
-    cols = np.array(sorted(a.elements), dtype=np.int64).reshape(-1, len(orders)).T
-    n = cols.shape[1]
+    n, k = len(a), len(orders)
+    cols = np.fromiter(chain.from_iterable(a.elements), np.int64, n * k).reshape(n, k).T
 
     def rows(lo, hi, dtype):
         s = np.empty((hi - lo, n), dtype=np.int64)  # one buffer for every coordinate's sums
@@ -185,18 +200,18 @@ def _flat_profile(a: GroupSet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _loop_profile(a: GroupSet) -> dict:
-    """r(x) by a pure-Python pair loop: the exact route for any order."""
+    """r(x) by a pure-Python pair loop: the exact route for any order.
+
+    The integers' identity (``intset._energy_counter``): u(x) counts the
+    pairs of distinct elements summing to x, each hit by two ordered pairs,
+    and v(x) = #{a : 2a = x} the doubles, so r(x) = 2u(x) + v(x).  Unlike
+    in the integers, v(x) can exceed 1 under 2-torsion: in Z_2^k every
+    double is 0.
+    """
     _check_size(a)
     add = a.group.add
-    els = sorted(a.elements)
-    prof: dict = {}
-    for i, x in enumerate(els):
-        s = add(x, x)
-        prof[s] = prof.get(s, 0) + 1
-        for y in els[i + 1:]:
-            s = add(x, y)
-            prof[s] = prof.get(s, 0) + 2
-    return prof
+    u = Counter(starmap(add, combinations(a.elements, 2)))
+    return dict(u + u + Counter(map(add, a.elements, a.elements)))
 
 
 def sum_profile(a: GroupSet) -> dict:
@@ -287,10 +302,8 @@ def group_product(*sets: GroupSet) -> GroupSet:
     if size > GROUP_ENERGY_CAP:
         raise ValueError(f"product of size {size} exceeds the cap {GROUP_ENERGY_CAP}")
     spec = GroupSpec(tuple(m for s in sets for m in s.group.orders))
-    members = set()
-    for combo in product(*(sorted(s.elements) for s in sets)):
-        members.add(tuple(c for x in combo for c in x))
-    return GroupSet(spec, frozenset(members))
+    return GroupSet(spec, frozenset(tuple(chain.from_iterable(combo))
+                                    for combo in product(*(s.elements for s in sets))))
 
 
 def cauchy_bound_check(a: GroupSet) -> bool:

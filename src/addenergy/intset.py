@@ -19,16 +19,18 @@ All arithmetic is exact.  Elements are arbitrary-precision Python ints.
   * diameter below 2^62, where every offset pair sum fits int64: numpy
     (``_energy_numpy``), which counts the n(n-1)/2 unordered pair sums u(s)
     through ``_pair_value_counts`` and applies the same identity;
-  * diameter 2^62 or more: the offsets are hashed mod 2^61 - 1
-    (``_energy_hashed``), at any size.  One sort of the n(n-1)/2 pair keys,
-    each packed with the count of its members at or past 2^60, gives the
-    same identity.
+  * diameter 2^62 or more: the offsets are hashed mod the prime
+    P = 1,729,382,256,910,267,943 (``_energy_hashed``), at any size.  One
+    sort of the n(n-1)/2 pair keys, each packed with the count of its
+    members at or past 2^59, gives the same identity.
 
 The hashed route is exact whatever the hash does: only keys that are not
 provably one true sum are checked, the true sums of their pairs (found by a
 two-sum over the sorted residues) are compared exactly, and a mismatch, or a
 residue shared by two offsets, sends the set to the Counter.  Only the time
-depends on the hash.
+depends on the hash.  P is the largest safe prime 2q + 1 below 3 * 2^59, so
+the powers of 2, 3, 16 (order q) and 10 (order 2q) repeat no residue for
+about 8.6 * 10^17 exponents.
 ``difference_profile`` counts the differences y - x, x < y, in numpy for
 sets of ``_NUMPY_MIN_SIZE`` or more elements and diameter below 2^62, and by
 a Counter over ``combinations`` otherwise; either way a
@@ -70,8 +72,9 @@ first of three exact kernels that fits:
     sum u^2 is the sum over the runs of both, and every double lies in the
     first.  A second thread builds, sorts and run-counts the cross table
     while the caller does the inside one, whenever the process may run on
-    two or more CPUs; otherwise both are counted inline by the same code.  That is one short-lived thread per count past the cut and
-    none below it, on the other kernels, for profiles or for group tables.
+    two or more CPUs; otherwise both are counted inline by the same code.
+    That is one short-lived thread per count past the cut and none below
+    it, on the other kernels, for profiles or for group tables.
 
 Every count on these routes is exact int64: a table value lies below 2^63,
 each count below n^2, and each energy term below E <= n^3 < 2^63 for
@@ -126,10 +129,13 @@ _FFT_LENGTH_CAP = 2**22
 _SPLIT_MIN = 2**18
 # the constant c of the a priori rounding bound c * u * n * levels < 1/4
 _FFT_ERROR = 32
-# the Mersenne prime 2^61 - 1: two residues sum below 2^62, inside int64
-_HASH_MODULUS = 2**61 - 1
+# the largest safe prime 2q + 1 below 3 * 2^59: 2, 3 and 16 have order q and
+# 10 order 2q, so their powers repeat no residue for about 8.6 * 10^17
+# exponents; two residues sum below 2^62, inside int64, and packed sums
+# (below 8P) fit uint64
+_HASH_MODULUS = 1_729_382_256_910_267_943
 # two offsets below this bound sum below _HASH_MODULUS, so their hash is their sum
-_HASH_EXACT = 2**60
+_HASH_EXACT = 2**59
 # the modulus of packed keys h << 2 | wide
 _PACKED_MODULUS = 4 * _HASH_MODULUS
 # largest set the quadruple count (n^3 membership tests) accepts
@@ -289,12 +295,17 @@ class DifferenceProfile:
     @classmethod
     def from_json(cls, data: Mapping) -> "DifferenceProfile":
         """Inverse of ``to_json``.  ``n``, the differences and the counts must be
-        JSON integers or decimal-integer strings, and a difference or a count
-        below 1 is a ValueError."""
+        JSON integers or decimal-integer strings.  A negative n, a difference or
+        a count below 1, or counts that do not sum to n(n-1)/2 is a ValueError."""
+        n = _json_int(data["n"])
         positive = {_json_int(x): _json_int(c) for x, c in data["positive"].items()}
+        if n < 0:
+            raise ValueError(f"profile size n must be >= 0, got {n}")
         if any(x < 1 or c < 1 for x, c in positive.items()):
             raise ValueError("profile differences and counts must be positive")
-        return _sorted_profile(_json_int(data["n"]), positive, max(positive, default=0),
+        if sum(positive.values()) != n * (n - 1) // 2:
+            raise ValueError(f"profile counts must sum to n(n-1)/2 = {n * (n - 1) // 2}")
+        return _sorted_profile(n, positive, max(positive, default=0),
                                max(positive.values(), default=0))
 
 
@@ -866,8 +877,9 @@ def _energy_counter(elements: tuple[int, ...]) -> int:
 
 
 def _packed_sum(x, y, out):
-    """(x + y) mod 4P into ``out``, P = 2^61 - 1: the symmetric op of the
-    packed key table of ``_energy_hashed``."""
+    """(x + y) mod 4P into ``out``, P = ``_HASH_MODULUS``: the symmetric op
+    of the packed key table of ``_energy_hashed``.  Both terms are below 4P,
+    so x + y < 8P < 2^64 fits uint64."""
     import numpy as np
 
     np.add(x, y, out=out)
@@ -879,7 +891,8 @@ def _energy_hashed(offsets: tuple[int, ...]) -> int:
 
     The identity of ``_energy_counter``, E = 4 * sum u(s)^2 + 4 * sum_{x in A}
     u(2x) + n, read from one sorted table.  An offset x has the residue
-    h = x mod P, P = 2^61 - 1, and is wide when x >= 2^60 (``_HASH_EXACT``).
+    h = x mod P, P = ``_HASH_MODULUS``, and is wide when x >= 2^59
+    (``_HASH_EXACT``).
     It is packed as h << 2 | wide in uint64, and ``_unordered_pairs`` adds
     the packed offsets of each pair a < b mod 4P, so an entry holds the key
     (h_a + h_b) mod P in bits 2 and up and its count of wide members in bits
@@ -891,7 +904,7 @@ def _energy_hashed(offsets: tuple[int, ...]) -> int:
     Exactness is a proof, not a probability.  The key is a function of the
     true sum, so the pairs of one sum lie in one run, and the count is exact
     once each run holds one sum and the run of each double holds 2x or
-    nothing.  Two offsets below 2^60 sum below P, so a narrow pair's key is
+    nothing.  Two offsets below 2^59 sum below P, so a narrow pair's key is
     its true sum, and so is the key of a narrow offset's double.  So only
     two kinds of key are checked:
 
@@ -912,7 +925,13 @@ def _energy_hashed(offsets: tuple[int, ...]) -> int:
     built: if h_x = h_y for x != y, then for any third offset z the pairs
     (x, z) and (y, z) share a key while their true sums differ, and x - y is
     a nonzero multiple of P, so one of x, y is wide and the check would
-    fail.  Powers of two from 2^61 on are such sets (2^61 = 1 mod P).
+    fail.  P is the largest safe prime 2q + 1 below 3 * 2^59, q prime, so
+    the powers of a base b != +-1 mod P repeat a residue only every q or 2q
+    exponents: 2, 3 and 16 have order q (about 8.6 * 10^17), 10 order 2q.
+    So the powers of 2, 16, 64 or 1024 in a builder witness's tail have
+    distinct residues; under a modulus with a small k where 2^k = 1, as
+    2^61 = 1 mod 2^61 - 1, they repeat from 2^k on and send such witnesses
+    to the Counter.
 
     Peak memory (``tracemalloc``, n = 1,000 and 2,500) is about 12 bytes
     per unordered pair on random 70-bit offsets and 26 on a progression of
@@ -1062,7 +1081,7 @@ def energy_oracle(a) -> int:
     ``_NUMPY_MIN_SIZE`` elements go to ``_energy_counter``, the rest with
     diameter below 2^62 to ``_energy_numpy``, and past 2^62 the offsets
     x - min go to ``_energy_hashed`` at any size; the hashed route itself
-    hands a set with a repeated residue mod 2^61 - 1, or with a hash
+    hands a set with a repeated residue mod ``_HASH_MODULUS``, or with a hash
     collision, to the Counter.  Every route is exact.
     """
     els = _as_intset(a).elements

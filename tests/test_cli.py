@@ -249,6 +249,41 @@ def test_help_exits_0():
     assert exc.value.code == 0
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int <-> str digit limit")
+def test_integers_of_any_length():
+    # outputs and --set tokens past Python's 4,300-digit conversion limit;
+    # main lifts the limit while it runs and restores it on every path
+    from addenergy import products
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(["ratio-chain", "--w", "12", "--n", "2000"])
+    assert limit and code == 0 and sys.get_int_max_str_digits() == limit
+    energies = json.loads(out)["energies"]
+    chain = products.ratio_chain(12, 2000)
+    assert max(map(len, energies)) > limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert [int(e) for e in energies] == list(chain.energies)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert run_cli(["energy", "--set", "9" * 5000 + ",1"]) == (0, '{"energy":"6","n":2}\n')
+    assert sys.get_int_max_str_digits() == limit
+    assert run_cli(["energy", "--set", "1_000,2"]) == (1, "")  # an error path
+    assert sys.get_int_max_str_digits() == limit
+    with pytest.raises(SystemExit):  # a usage error
+        run_cli(["energy"])
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("text", ["1_000,2", "\u0663,4", "+-3", "0x10", "1.0"])
+def test_set_tokens_read_as_decimal_strings(text, capsys):
+    # a --set token is read as a factor file's strings are: ASCII digits and
+    # an optional sign, nothing else
+    assert run_cli(["energy", "--set", text]) == (1, "")
+    assert capsys.readouterr().err.startswith("error: expected an integer")
+    assert run_cli(["energy", "--set", "+3, -2 007"]) == (0, '{"energy":"15","n":3}\n')
+
+
 def test_exit_code_internal(monkeypatch, capsys):
     # a builder whose self-check recount disagrees is a broken invariant,
     # not a bad request

@@ -9,7 +9,7 @@ from itertools import islice
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from addenergy import (
@@ -99,6 +99,20 @@ def check_against_pair_loop(a):
 def test_group_profiles_match_pair_loop(a):
     # small orders, 2-torsion included; the set size decides bincount or sort
     check_against_pair_loop(a)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(group_sets(st.lists(st.sampled_from((2, 3, 4, 5, 6, 8)), min_size=1, max_size=3)))
+@example(GroupSet.full(GroupSpec((2, 2, 2))))
+@example(GroupSet.of(GroupSpec((4,)), []))
+def test_loop_profile_matches_pair_loop(a):
+    # every order takes the pure-Python count when the flat-code bound is 0;
+    # in Z_2^k every double is 0, so v(0) = |A| there, not 1
+    with pytest.MonkeyPatch.context() as mp:
+        routes = record_group_routes(mp)
+        mp.setattr(groups, "_FLAT_CODE_ORDER", 0)
+        check_against_pair_loop(a)
+    assert set(routes) == {"loop"}
 
 
 def record_group_routes(monkeypatch):
@@ -229,6 +243,20 @@ def test_group_spec_validation():
     spec = GroupSpec((101, 100))
     with pytest.raises(ValueError):
         group_energy(GroupSet(spec, frozenset(islice(spec.elements(), 10_001))))
+
+
+@pytest.mark.parametrize("bad", [(2.5, 3), ("3",), (3, None), 5])
+def test_group_spec_orders_must_be_integers(bad):
+    # a float order (2.5 * 3 = 7.5), a string, None or a non-iterable
+    with pytest.raises(ValueError, match="cyclic orders must be integers"):
+        GroupSpec(bad)
+
+
+def test_group_spec_keeps_a_tuple_of_python_ints():
+    # a list was kept as a list, which made the spec unhashable
+    spec = GroupSpec([np.int64(3), 3])
+    assert spec == GroupSpec((3, 3)) and hash(spec) == hash(GroupSpec((3, 3)))
+    assert all(type(m) is int for m in spec.orders) and spec.order == 9
 
 
 @pytest.mark.parametrize("bad, message", [

@@ -29,7 +29,8 @@ from addenergy import (
     normalize,
 )
 from addenergy import cli, constructions, intset
-from addenergy.intset import _HASH_MODULUS, _energy_counter, _energy_numpy, _int64_safe
+from addenergy.intset import (_HASH_EXACT, _HASH_MODULUS, _energy_counter, _energy_numpy,
+                              _int64_safe)
 
 
 def incremental_rebuild(a):
@@ -295,8 +296,8 @@ def test_int64_boundary_routes(monkeypatch):
     cases = [
         (IntSet(range(31)), ["counter"]),
         (IntSet(list(range(40)) + [2**62 - 1]), ["numpy", "sort64"]),
-        # 2^62 = 2P + 2 hashes like 2, so (0, 2^62) meets (1, 1): the Counter
-        (IntSet(list(range(40)) + [2**62]), ["hashed", "counter"]),
+        # 2^62 - 2P and 2^62 share a residue: the Counter, at diameter 2^62
+        (IntSet(list(range(40)) + [2**62 - 2 * _HASH_MODULUS, 2**62]), ["hashed", "counter"]),
         (IntSet(list(range(40)) + [2**62 + 2**40]), ["hashed"]),
         (IntSet(2**64 + x for x in range(40)), ["numpy", "bincount"]),
         (IntSet(-2**70 + x for x in range(40)), ["numpy", "bincount"]),
@@ -856,11 +857,11 @@ def test_hashed_route_matches_counter(gaps, collide, t):
 COLLISION_SETS = [
     # (0, P + 5) hashes like (0, 5), (1, 4), (2, 3)
     list(range(32)) + [_HASH_MODULUS + 5],
-    # 2^61 + 5 and 2^61 + 9 hash like 6 and 10, 2^62 + 7 like 9
-    list(range(40)) + [2**61 + 5, 2**61 + 9, 2**62 + 7],
-    # 2 (2^60 + 3) = P + 7: a pair of offsets below 2^61 can wrap past P,
+    # P + 6, 2P + 10 and 3P + 9 hash like 6, 10 and 9
+    list(range(40)) + [_HASH_MODULUS + 6, 2 * _HASH_MODULUS + 10, 3 * _HASH_MODULUS + 9],
+    # 2 (P + 7) / 2 = P + 7: a pair of offsets below P can wrap past P,
     # while 2^62 + 2^40 collides with nothing
-    list(range(40)) + [2**60 + 3, 2**62 + 2**40],
+    list(range(40)) + [(_HASH_MODULUS + 7) // 2, 2**62 + 2**40],
 ]
 
 
@@ -901,6 +902,18 @@ def test_builder_witnesses_match_counter(monkeypatch):
                             monkeypatch)
 
 
+@pytest.mark.parametrize("base", [16, 64, 1024])
+def test_builder_at_power_of_two_bases_stays_hashed(base, monkeypatch):
+    # 2, 16, 64 and 1024 repeat no residue mod P, so a build and its
+    # self-check at a power-of-two base never fall back to the Counter
+    routes = record_routes(monkeypatch)
+    for t in band_targets(400):
+        routes.clear()
+        res = constructions.build_with_target_energy(400, t, base)
+        assert res.reached and energy_oracle(res.witness) == t
+        assert "counter" not in routes and "hashed" in routes
+
+
 @pytest.mark.slow
 def test_builder_witnesses_match_counter_all_sizes(monkeypatch):
     check_builder_witnesses(range(32, 481), monkeypatch)
@@ -918,11 +931,11 @@ def test_hashed_route_ignores_pair_block(monkeypatch):
 
 
 @pytest.mark.parametrize("els, route", [
-    # the two wide offsets hash like 2^59 and 3 * 2^59 + 77, so their pair
-    # has the key 78 of the double of 39, and its run holds that pair alone:
-    # the double is checked, and its true sum differs
-    (list(range(40)) + [2 * _HASH_MODULUS + 2**59, 2 * _HASH_MODULUS + 3 * 2**59 + 77],
-     ["hashed", "counter"]),
+    # the two wide offsets hash like E = _HASH_EXACT and P + 78 - E, so their
+    # pair has the key 78 of the double of 39, and its run holds that pair
+    # alone: the double is checked, and its true sum differs
+    (list(range(40)) + [3 * _HASH_MODULUS + _HASH_EXACT,
+                        4 * _HASH_MODULUS + 78 - _HASH_EXACT], ["hashed", "counter"]),
     ([2**70 * i for i in range(42)], ["hashed"]),
 ])
 def test_neighbour_check_in_slices(els, route, monkeypatch):
@@ -944,17 +957,18 @@ HASHED_EDGE_SETS = [
     # a wide pair in a run of narrow ones, whose key is no double:
     # (1, P + 159) hashes like (2^5, 2^7)
     ([2**i for i in range(40)] + [_HASH_MODULUS + 159], ["hashed", "counter"]),
-    # 2^60 - 1 is narrow: its pairs and its double are their own keys
-    (list(range(40)) + [2**60 - 1, 2**62 + 2**40], ["hashed"]),
-    # 2^60 is wide: its double 2^61 hashes like 1, the pair (0, 1)
-    (list(range(40)) + [2**60, 2**62 + 2**40], ["hashed", "counter"]),
-    # both sides of 2^60: pairs with d + d' = -1 sum to P, the key of the double of 0
-    ([0] + [2**60 + d for d in range(-20, 20)], ["hashed", "counter"]),
-    # the narrow double 2 (2^60 - 3) hits a run of one wide pair,
-    # (2^60 - 6 - 2^50, 2^60 + 2^50), and is its true sum: counted (the
-    # double of 39 hitting a wide pair of another sum is a case of
+    # E - 1 is narrow (E = _HASH_EXACT): its pairs and its double are their own keys
+    (list(range(40)) + [_HASH_EXACT - 1, 2**62 + 2**40], ["hashed"]),
+    # (P + 1) / 2 is wide: its double P + 1 hashes like 1, the pair (0, 1)
+    (list(range(40)) + [(_HASH_MODULUS + 1) // 2, 2**62 + 2**40], ["hashed", "counter"]),
+    # around (P + 1) / 2: pairs with d + d' = -1 sum to P, the key of the double of 0
+    ([0] + [(_HASH_MODULUS + 1) // 2 + d for d in range(-20, 20)], ["hashed", "counter"]),
+    # the narrow double 2 (E - 3) hits a run of one wide pair,
+    # (E - 6 - 2^50, E + 2^50), and is its true sum: counted (the double of
+    # 39 hitting a wide pair of another sum is a case of
     # test_neighbour_check_in_slices)
-    (list(range(40)) + [2**60 - 6 - 2**50, 2**60 - 3, 2**60 + 2**50], ["hashed"]),
+    (list(range(40)) + [_HASH_EXACT - 6 - 2**50, _HASH_EXACT - 3, _HASH_EXACT + 2**50],
+     ["hashed"]),
     # progressions of wide step: every key is shared and every run checked
     ([2**70 * i for i in range(40)], ["hashed"]),
     ([(2**100 + 1) * i for i in range(40)], ["hashed"]),
@@ -974,10 +988,11 @@ def test_hashed_route_edge_sets(els, route, monkeypatch):
     assert routes == route
 
 
-def test_powers_of_two_repeat_residues(monkeypatch):
-    # powers of two are Sidon, of energy 2n^2 - n; 2^61 = 1 mod P, so from 62
-    # powers on two residues repeat and the set goes to the Counter before
-    # any table is built
+def test_powers_repeat_residues_only_at_base_one(monkeypatch):
+    # powers of a base are Sidon, of energy 2n^2 - n.  2 has order (P - 1) / 2
+    # mod P, so powers of two repeat no residue and always build the table;
+    # a base b = 1 mod P gives b^i = 1 mod P, so from two powers on residues
+    # repeat and the set goes to the Counter before any table is built
     routes = record_routes(monkeypatch)
     real_pairs = intset._unordered_pairs
 
@@ -986,12 +1001,14 @@ def test_powers_of_two_repeat_residues(monkeypatch):
         return real_pairs(*args)
 
     monkeypatch.setattr(intset, "_unordered_pairs", pairs_spy)
-    for n in range(32, 131):
-        offsets = tuple(2**i - 1 for i in range(n))
-        routes.clear()
-        assert intset._energy_hashed(offsets) == 2 * n * n - n
-        assert routes == (["hashed", "table"] if n < 62 else ["hashed", "counter"])
-        assert energy_oracle([2**i for i in range(n)]) == 2 * n * n - n
+    assert pow(2, (_HASH_MODULUS - 1) // 2, _HASH_MODULUS) == 1
+    for base in (2, _HASH_MODULUS + 1):
+        for n in range(32, 131):
+            offsets = tuple(base**i - 1 for i in range(n))
+            routes.clear()
+            assert intset._energy_hashed(offsets) == 2 * n * n - n
+            assert routes == (["hashed", "table"] if base == 2 else ["hashed", "counter"])
+            assert energy_oracle([base**i for i in range(n)]) == 2 * n * n - n
 
 
 RESIDUES = st.sampled_from([0, 1, 2, 3, 5, 8, 2**60, _HASH_MODULUS - 2, _HASH_MODULUS - 1])
@@ -1153,16 +1170,31 @@ def test_profile_equality_and_json_round_trip():
 
 
 def test_energy_from_profile_python_int_fallback():
-    # each square fits int64 but two overflow it; a square past 2^63; an
-    # object count: every sum is exact
-    c = 3_037_000_499  # c^2 < 2^63 < 2 c^2
-    for positive in ({"1": c}, {"1": c, "2": c}, {"1": 2**32}, {"1": 2**70, "5": 3}):
-        p = DifferenceProfile.from_json({"n": 9, "positive": positive})
+    # a square that fits int64; two that each fit but overflow it together
+    # (c^2 < 2^63 < 2 c^2); a square past 2^63; object counts: every sum is
+    # exact.  The counts of each profile sum to n(n-1)/2.
+    for n, positive in ((77_936, {"1": 3_036_971_080}),
+                        (110_000, {"1": 3_024_972_500, "2": 3_024_972_500}),
+                        (2**17, {"1": 2**32, "2": 4_294_901_760}),
+                        (2**36, {"1": 2**70, "5": 2**70 - 2**35})):
+        p = DifferenceProfile.from_json({"n": n, "positive": positive})
         counts = [int(v) for v in positive.values()]
-        assert energy_from_profile(p) == 81 + 2 * sum(v * v for v in counts)
-        assert p.total_pairs == sum(counts)
-    big = DifferenceProfile.from_json({"n": 9, "positive": {"1": 2**70}})
+        assert energy_from_profile(p) == n * n + 2 * sum(v * v for v in counts)
+        assert p.total_pairs == sum(counts) == n * (n - 1) // 2
+    big = DifferenceProfile.from_json({"n": 2**36, "positive": {"1": 2**71 - 2**35}})
     assert big.counts.dtype == object
+
+
+@pytest.mark.parametrize("data", [
+    {"n": -1, "positive": {}},
+    {"n": -2, "positive": {"1": 3}},  # (-2)(-3)/2 = 3, but n < 0
+    {"n": 2, "positive": {"1": 5}},  # energy_from_profile read 54
+    {"n": 3, "positive": {"1": 2}},
+    {"n": 0, "positive": {"1": 1}},
+])
+def test_profile_from_json_rejects_bad_sizes(data):
+    with pytest.raises(ValueError):
+        DifferenceProfile.from_json(data)
 
 
 @pytest.mark.parametrize("positive", [
