@@ -139,7 +139,7 @@ def _cmd_product(args, out) -> int:
 
 
 def _cmd_ratio_chain(args, out) -> int:
-    chain = products.ratio_chain(args.w, args.n, args.base)
+    chain = products.ratio_chain(args.w, args.n, args.base, budget=args.budget)
     payload = chain.to_json()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

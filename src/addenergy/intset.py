@@ -20,9 +20,13 @@ All arithmetic is exact.  Elements are arbitrary-precision Python ints.
     (``_energy_numpy``), which counts the n(n-1)/2 unordered pair sums u(s)
     through ``_pair_value_counts`` and applies the same identity;
   * diameter 2^62 or more: the offsets are hashed mod the prime
-    P = 1,729,382,256,910,267,943 (``_energy_hashed``), at any size.  One
-    sort of the n(n-1)/2 pair keys, each packed with the count of its
-    members at or past 2^59, gives the same identity.
+    P = 1,729,382,256,910,267,943 (``_energy_hashed``), at any size; an
+    offset below 2^59 is its own residue, and one ``divmod`` gives a larger
+    one's residue and quotient.  One sort of the n(n-1)/2 pair keys, each
+    packed with the count of its members at or past 2^59, gives the same
+    identity.  A packed pair sum is below 8P < 2^64, and is reduced mod 4P
+    with no branch, as min(s, s - 4P) in uint64 (``_add_mod``), in chunks of
+    2^15 values.
 
 The hashed route is exact whatever the hash does: only keys that are not
 provably one true sum are checked, the true sums of their pairs (found by a
@@ -97,7 +101,7 @@ import threading
 from bisect import bisect_left
 from collections import Counter
 from functools import cache
-from itertools import combinations, starmap
+from itertools import chain, combinations, starmap
 from math import gcd, log2, prod
 from operator import add, lt, sub
 from types import MappingProxyType
@@ -138,6 +142,8 @@ _HASH_MODULUS = 1_729_382_256_910_267_943
 _HASH_EXACT = 2**59
 # the modulus of packed keys h << 2 | wide
 _PACKED_MODULUS = 4 * _HASH_MODULUS
+# values per chunk of a modular add (``_add_mod``): its scratch array, 256 kB
+_REDUCE_CHUNK = 2**15
 # largest set the quadruple count (n^3 membership tests) accepts
 _QUADRUPLE_CAP = 40
 # a decimal-integer string, as ``to_json`` writes them, with an optional sign
@@ -296,7 +302,9 @@ class DifferenceProfile:
     def from_json(cls, data: Mapping) -> "DifferenceProfile":
         """Inverse of ``to_json``.  ``n``, the differences and the counts must be
         JSON integers or decimal-integer strings.  A negative n, a difference or
-        a count below 1, or counts that do not sum to n(n-1)/2 is a ValueError."""
+        a count below 1, counts that do not sum to n(n-1)/2, a count above
+        n - 1 or an energy above ``max_energy(n)`` is a ValueError: no n-set
+        has such a profile (each x > 0 is y - x' for at most n - 1 pairs)."""
         n = _json_int(data["n"])
         positive = {_json_int(x): _json_int(c) for x, c in data["positive"].items()}
         if n < 0:
@@ -305,6 +313,10 @@ class DifferenceProfile:
             raise ValueError("profile differences and counts must be positive")
         if sum(positive.values()) != n * (n - 1) // 2:
             raise ValueError(f"profile counts must sum to n(n-1)/2 = {n * (n - 1) // 2}")
+        if any(c > n - 1 for c in positive.values()):
+            raise ValueError(f"a profile count must be at most n - 1 = {n - 1}")
+        if n * n + 2 * sum(c * c for c in positive.values()) > max_energy(n):
+            raise ValueError(f"profile energy exceeds max_energy(n) = {max_energy(n)}")
         return _sorted_profile(n, positive, max(positive, default=0),
                                max(positive.values(), default=0))
 
@@ -876,14 +888,47 @@ def _energy_counter(elements: tuple[int, ...]) -> int:
             + len(elements))
 
 
+def _add_mod(x, y, m: int, out: np.ndarray) -> None:
+    """(x + y) mod m into the uint64 array ``out``, for x and y that
+    broadcast to its shape with s = x + y < 2m <= 2^64, so that s fits
+    uint64.  Branch-free: for s < m, s - m wraps to 2^64 + s - m > s, so
+    np.minimum(s, s - m) keeps s, and for s >= m it is s - m.
+
+    ``out`` is filled in chunks of about ``_REDUCE_CHUNK`` values along its
+    first axis, each reduced through one scratch array of a chunk's size,
+    so no temporary the size of ``out`` is made: one chunk for the whole
+    table raised the ``tracemalloc`` peak of ``_energy_hashed`` on 1,000
+    random 70-bit offsets from 12.2 to 16.5 bytes per pair.  On the
+    114,960-pair packed table of a 480-element ``build-band`` witness, the
+    add alone took 106 us, the add and a masked subtraction
+    (``where=s >= m``) 400 us, and the add and this reduction 213 us (best
+    of 400, 2-core Xeon).
+    """
+    import numpy as np
+
+    if out.size == 0:
+        return
+    rows = out.shape[0]
+    step = max(1, _REDUCE_CHUNK * rows // out.size)
+    if step >= rows:
+        chunks = [(out, x, y)]
+    else:
+        x, y = np.broadcast_to(x, out.shape), np.broadcast_to(y, out.shape)
+        chunks = ((out[lo:lo + step], x[lo:lo + step], y[lo:lo + step])
+                  for lo in range(0, rows, step))
+    scratch = np.empty(min(step, rows) * (out.size // rows), dtype=np.uint64)
+    for s, a, b in chunks:
+        np.add(a, b, out=s)
+        t = scratch[:s.size].reshape(s.shape)
+        np.subtract(s, m, out=t)
+        np.minimum(s, t, out=s)
+
+
 def _packed_sum(x, y, out):
     """(x + y) mod 4P into ``out``, P = ``_HASH_MODULUS``: the symmetric op
     of the packed key table of ``_energy_hashed``.  Both terms are below 4P,
-    so x + y < 8P < 2^64 fits uint64."""
-    import numpy as np
-
-    np.add(x, y, out=out)
-    np.subtract(out, _PACKED_MODULUS, out=out, where=out >= _PACKED_MODULUS)
+    so x + y < 8P < 2^64 fits uint64 (``_add_mod``)."""
+    _add_mod(x, y, _PACKED_MODULUS, out)
 
 
 def _energy_hashed(offsets: tuple[int, ...]) -> int:
@@ -892,14 +937,20 @@ def _energy_hashed(offsets: tuple[int, ...]) -> int:
     The identity of ``_energy_counter``, E = 4 * sum u(s)^2 + 4 * sum_{x in A}
     u(2x) + n, read from one sorted table.  An offset x has the residue
     h = x mod P, P = ``_HASH_MODULUS``, and is wide when x >= 2^59
-    (``_HASH_EXACT``).
+    (``_HASH_EXACT``).  A narrow offset is its own residue; a wide one is
+    divided once, by ``divmod``, whose quotient ``_hashed_sums_agree`` reads.
     It is packed as h << 2 | wide in uint64, and ``_unordered_pairs`` adds
-    the packed offsets of each pair a < b mod 4P, so an entry holds the key
-    (h_a + h_b) mod P in bits 2 and up and its count of wide members in bits
-    0-1.  One in-place sort orders the entries by key, and within a key the
-    narrow pairs first; the table is then shifted down to its keys.  A run
-    of k equal keys adds k^2 to sum u^2 (``_square_runs``), and u(2x) is the
-    width of the run of the key 2h mod P, found by ``searchsorted``.
+    the packed offsets of each pair a < b mod 4P (``_packed_sum``), so an
+    entry holds the key (h_a + h_b) mod P in bits 2 and up and its count of
+    wide members in bits 0-1.  Both packed terms are below 4P, so their sum
+    is below 8P < 2^64, and ``_add_mod`` reduces it with no branch, in
+    chunks of ``_REDUCE_CHUNK`` values, so that no temporary the size of the
+    table is made.  One in-place sort orders the entries by key, and within
+    a key the narrow pairs first; the table is then shifted down to its
+    keys.  A run of k equal keys adds k^2 to sum u^2 (``_square_runs``), and
+    u(2x) is the width of the run of the key 2h mod P: one ``searchsorted``
+    finds where each double's run would start, and its end is searched only
+    for the doubles that land on a run.
 
     Exactness is a proof, not a probability.  The key is a function of the
     true sum, so the pairs of one sum lie in one run, and the count is exact
@@ -933,8 +984,18 @@ def _energy_hashed(offsets: tuple[int, ...]) -> int:
     2^61 = 1 mod 2^61 - 1, they repeat from 2^k on and send such witnesses
     to the Counter.
 
+    A pass over the 40 ``build-band`` witnesses of seed 1 (1.15 * 10^6
+    pairs, in-process, best of 40, 2-core Xeon) takes about 29 ms: the
+    residues 3.8 ms (most of it dividing the wide offsets, of up to 380
+    digits), the packed table 4.9, the sort 8.6, the shared keys 1.6, the
+    doubles and the keys to check 2.5, ``_hashed_sums_agree`` 4.1 (on the 22
+    witnesses with a key to check) and ``_square_runs`` 3.4.  A masked
+    subtraction for each reduction, ``x % P`` and ``x // P`` apart and two
+    searches per double read 32.6 ms against 28.1 (medians of three
+    alternating runs of each).
+
     Peak memory (``tracemalloc``, n = 1,000 and 2,500) is about 12 bytes
-    per unordered pair on random 70-bit offsets and 26 on a progression of
+    per unordered pair on random 70-bit offsets and 27 on a progression of
     step 2^100 + 1, where every key is checked: the 8-byte table, bool masks
     over it, and in ``_square_runs`` the index of every window past d = 8.
     Every set past 2^62 of 32 or more elements comes here, whatever its
@@ -947,12 +1008,17 @@ def _energy_hashed(offsets: tuple[int, ...]) -> int:
     import numpy as np
 
     n = len(offsets)
-    h = np.array([x % _HASH_MODULUS for x in offsets], dtype=np.uint64)
+    narrow = bisect_left(offsets, _HASH_EXACT)  # offsets[narrow:] are wide
+    # a narrow offset is its own residue; a wide one is divided once (a
+    # zip(*map(divmod, ...)) here raised the peak RSS of 600 build-band
+    # passes by 0.8 MB)
+    divided = [divmod(x, _HASH_MODULUS) for x in offsets[narrow:]]
+    h = np.fromiter(chain(offsets[:narrow], (r for _, r in divided)), np.uint64, n)
+    quotients = [q for q, _ in divided]
     order = h.argsort()
     residues = h[order]
     if (residues[1:] == residues[:-1]).any():
         return _energy_counter(offsets)
-    narrow = bisect_left(offsets, _HASH_EXACT)  # offsets[narrow:] are wide
     packed = h << 2
     packed[narrow:] |= 1
     table = _unordered_pairs(packed, _packed_sum)(0, n, np.uint64)
@@ -965,44 +1031,49 @@ def _energy_hashed(offsets: tuple[int, ...]) -> int:
     del same
     shared = table[1:][ends]
     del ends
-    doubles = h << 1
-    np.subtract(doubles, _HASH_MODULUS, out=doubles, where=doubles >= _HASH_MODULUS)
-    lo = table.searchsorted(doubles, "left")
-    on_doubles = table.searchsorted(doubles, "right") - lo
-    checked = wide[lo + on_doubles - 1]  # the last pair of the run
-    checked[narrow:] = True
-    checked &= on_doubles > 0
+    doubles = np.empty(n, dtype=np.uint64)
+    _add_mod(h, h, _HASH_MODULUS, doubles)
+    lo = table.searchsorted(doubles)
+    # the doubles whose run is not empty, and the end of each such run
+    landed = np.flatnonzero(table[np.minimum(lo, table.size - 1)] == doubles)
+    hi = table.searchsorted(doubles[landed], "right")
+    on_doubles = int((hi - lo[landed]).sum())
+    checked = landed[wide[hi - 1] | (landed >= narrow)]  # the run's last pair or x is wide
     keys = np.concatenate([shared, doubles[checked]])
     keys.sort()
     keys = keys[_first_of_run(keys)]
-    if keys.size and not _hashed_sums_agree(offsets, h, order, narrow, table, wide, keys,
-                                            np.flatnonzero(checked), doubles):
+    if keys.size and not _hashed_sums_agree(quotients, h, order, narrow, table, wide, keys,
+                                            checked, doubles):
         return _energy_counter(offsets)
     del wide
-    return 4 * _square_runs(table) + 4 * int(on_doubles.sum()) + n
+    return 4 * _square_runs(table) + 4 * on_doubles + n
 
 
-def _hashed_sums_agree(offsets: tuple[int, ...], h: np.ndarray, order: np.ndarray,
+def _hashed_sums_agree(quotients: list[int], h: np.ndarray, order: np.ndarray,
                        narrow: int, table: np.ndarray, wide: np.ndarray, keys: np.ndarray,
                        checked: np.ndarray, doubles: np.ndarray) -> bool:
     """Whether all pairs of each key in ``keys`` have one true sum, and the
     double 2x of each offset in ``checked`` is the true sum of its key's run
-    (see ``_energy_hashed``).  ``table`` is the sorted key table, ``wide``
-    its mask of entries with a wide member, ``keys`` sorted and distinct,
-    ``doubles`` the keys of the doubles and ``h[order]`` the residues sorted.
+    (see ``_energy_hashed``).  ``quotients`` are offset // P of the wide
+    offsets, the offsets from index ``narrow`` on, as ``_energy_hashed``
+    divided them; ``table`` is the sorted key table, ``wide`` its mask of
+    entries with a wide member, ``keys`` sorted and distinct, ``checked``
+    the indices of the offsets whose double is checked, ``doubles`` the
+    keys of the doubles and ``h[order]`` the residues sorted.
 
     A pair a, b of key K has the true sum K + P * t, with t = q_a + q_b +
-    [h_a + h_b >= P] and q = offset // P, so two pairs of one key have one
-    sum iff their t agree; t is an exact int64 while every q is below 2^62,
-    and a Python int past that.  A narrow pair has t = 0, and a run holds
-    one iff its first entry is narrow.  The pairs with a wide member come
-    from ``_wide_pairs_of``, a block at a time, and each t is compared with
-    the t of its run seen so far.
+    [h_a + h_b >= P] and q = offset // P (0 for a narrow offset), so two
+    pairs of one key have one sum iff their t agree; h_a + h_b < 2P < 2^62
+    is exact in uint64, and t is an exact int64 while every q is below
+    2^62, and a Python int past that.  A narrow pair has t = 0, and a run
+    holds one iff its first entry is narrow.  The pairs with a wide member
+    come from ``_wide_pairs_of``, a block at a time, and each t is compared
+    with the t of its run seen so far.
     """
     import numpy as np
 
-    q = np.zeros(h.size, dtype=np.int64 if offsets[-1] // _HASH_MODULUS < 2**62 else object)
-    q[narrow:] = [x // _HASH_MODULUS for x in offsets[narrow:]]
+    q = np.zeros(h.size, dtype=np.int64 if max(quotients, default=0) < 2**62 else object)
+    q[narrow:] = quotients
     run_t = np.zeros(keys.size, dtype=q.dtype)
     known = ~wide[table.searchsorted(keys)]  # runs with a narrow pair: t = 0
     for k, a, b in _wide_pairs_of(keys, h, order, narrow, max(1, table.size // 8)):
@@ -1031,7 +1102,7 @@ def _wide_pairs_of(keys: np.ndarray, h: np.ndarray, order: np.ndarray, narrow: i
     mod P, if any, is found by ``searchsorted``.  Otherwise the rows of
     wide b are scanned, each key (h_a + h_b) mod P of a < b looked up in
     ``keys``.  Either way costs the smaller of len(keys) and n lookups per
-    wide offset.
+    wide offset.  Both reduce their sums below 2P by ``_add_mod``.
     """
     import numpy as np
 
@@ -1047,8 +1118,8 @@ def _wide_pairs_of(keys: np.ndarray, h: np.ndarray, order: np.ndarray, narrow: i
             # h_b: each row ascends but for one wrap, so searchsorted takes
             # its sorted-keys path (rows of one b each, keys ascending, took
             # 1.5 times as long at n = 457: 72 keys by 361 wide offsets)
-            want = keys[lo:lo + step, None] + negated
-            np.subtract(want, _HASH_MODULUS, out=want, where=want >= _HASH_MODULUS)
+            want = np.empty((min(step, keys.size - lo), wide), dtype=np.uint64)
+            _add_mod(keys[lo:lo + step, None], negated, _HASH_MODULUS, want)
             want = want.ravel()
             at = residues.searchsorted(want)
             np.minimum(at, n - 1, out=at)
@@ -1062,8 +1133,8 @@ def _wide_pairs_of(keys: np.ndarray, h: np.ndarray, order: np.ndarray, narrow: i
         step = max(1, block // n)
         for lo in range(narrow, n, step):
             hi = min(n, lo + step)
-            rows = h[lo:hi, None] + h[:hi]
-            np.subtract(rows, _HASH_MODULUS, out=rows, where=rows >= _HASH_MODULUS)
+            rows = np.empty((hi - lo, hi), dtype=np.uint64)
+            _add_mod(h[lo:hi, None], h[:hi], _HASH_MODULUS, rows)
             k = keys.searchsorted(rows)
             np.minimum(k, keys.size - 1, out=k)
             hit = keys[k] == rows

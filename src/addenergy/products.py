@@ -195,13 +195,16 @@ class RatioChain:
         }
 
 
-def ratio_chain(w: int, n: int, base: int = 10) -> RatioChain:
+def ratio_chain(w: int, n: int, base: int = 10, budget: int | None = None) -> RatioChain:
     """Realize consecutive factor energies t0, t0+4, ... as w-element sets
     and chain them into n-fold products of constant cardinality w^n.
 
     The start t0 is the first admissible value at or above max(w^3/90,
     minimum energy); the chain targets floor(w^3/30) sets and stops at the
-    first unreachable energy, reporting it in ``misses``.
+    first unreachable energy, reporting it in ``misses``.  Each set is one
+    self-checked build, and the floor(w^3/30) builds count against
+    ``budget`` (default ``default_budget()``) before the first one: past
+    it, a ``BudgetError``.
     """
     if w < 12:
         raise ValueError("factor size must be >= 12 (builder constraint)")
@@ -210,11 +213,15 @@ def ratio_chain(w: int, n: int, base: int = 10) -> RatioChain:
     # checked here, as a miss below would read as an unreachable chain start
     if base < LACUNARY_RATIO_MIN:
         raise ValueError(f"base must be >= {LACUNARY_RATIO_MIN}")
+    if budget is None:
+        budget = default_budget()
+    target_length = w**3 // 30
+    if target_length > budget:
+        raise BudgetError(target_length, budget, f"ratio chain (w={w}) builds")
     floor = 2 * w * w - w
     band_lo = -(-w**3 // 90)  # ceil(w^3 / 90); below it the ratio bound fails
     t0 = max(floor, band_lo)
     t0 += (w - t0) % 4
-    target_length = w**3 // 30
     factors: list[IntSet] = []
     misses: list[int] = []
     for i in range(target_length):

@@ -6,6 +6,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import numpy as np
@@ -173,6 +174,29 @@ def test_exit_code_precondition():
 def test_exit_code_budget():
     code, _ = run_cli(["--budget", "100", "spectrum", "--n", "4", "--diameter", "12"])
     assert code == 2
+
+
+def test_ratio_chain_counts_its_builds_against_the_budget(monkeypatch, capsys):
+    # --w 1000 asks for floor(1000^3 / 30) = 33,333,333 self-checked builds,
+    # past the default budget of 10^7: refused before the first build
+    from addenergy import products
+    builds = []
+    real_build = products.build_with_target_energy
+
+    def build_spy(*args):
+        builds.append(args)
+        return real_build(*args)
+
+    monkeypatch.setattr(products, "build_with_target_energy", build_spy)
+    start = time.perf_counter()
+    assert run_cli(["ratio-chain", "--w", "1000", "--n", "2"]) == (2, "")
+    assert time.perf_counter() - start < 1 and builds == []
+    assert "33333333" in capsys.readouterr().err
+    # w = 12 asks for 57 builds
+    assert run_cli(["--budget", "56", "ratio-chain", "--w", "12", "--n", "2"]) == (2, "")
+    assert builds == []
+    assert run_cli(["--budget", "57", "ratio-chain", "--w", "12", "--n", "2"])[0] == 0
+    assert builds
 
 
 def test_exit_code_out_of_memory(monkeypatch, capsys):

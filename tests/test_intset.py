@@ -1039,6 +1039,72 @@ def test_wide_pairs_of_matches_pair_loop(h, narrow, size, block, rnd):
     assert sorted(got) == sorted(want)
 
 
+CHUNK = intset._REDUCE_CHUNK
+
+
+@pytest.mark.parametrize("m", [_HASH_MODULUS, intset._PACKED_MODULUS, 2**63])
+@pytest.mark.parametrize("size", [1, 4, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+def test_add_mod_at_the_wrap_edges(m, size):
+    # terms in [0, m) whose sums hit 0, m - 1, m and 2m - 2, cycled over
+    # lengths on either side of the chunk size
+    edges = [(0, 0), (0, m - 1), (m - 1, 0), (1, m - 1), (m - 1, 1), (m - 1, m - 1),
+             (5, 7), (m // 2, m - m // 2)]
+    pairs = [edges[i % len(edges)] for i in range(size)]
+    x = np.array([a for a, _ in pairs], dtype=np.uint64)
+    y = np.array([b for _, b in pairs], dtype=np.uint64)
+    out = np.empty(size, dtype=np.uint64)
+    intset._add_mod(x, y, m, out)
+    assert out.tolist() == [(a + b) % m for a, b in pairs]
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.integers(1, 12), st.integers(0, 9), st.integers(1, 40), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_add_mod_broadcasts_in_chunks(rows, cols, chunk, column, rnd):
+    # a column or a row broadcast against a block, as the packed table and
+    # the two-sum pass them, with chunks of a row or less up to the whole
+    m = _HASH_MODULUS
+    pick = [0, 1, m - 2, m - 1, m // 2]
+    draw = lambda k: [rnd.choice(pick) if rnd.random() < 0.5 else rnd.randrange(m)
+                      for _ in range(k)]
+    x = np.array(draw(rows * cols), dtype=np.uint64).reshape(rows, cols)
+    y = np.array(draw(rows) if column else draw(cols), dtype=np.uint64)
+    y = y[:, None] if column else y
+    out = np.empty((rows, cols), dtype=np.uint64)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(intset, "_REDUCE_CHUNK", chunk)
+        intset._add_mod(x, y, m, out)
+    want = [[(int(a) + int(b)) % m for a, b in zip(xr, yr)]
+            for xr, yr in zip(x.tolist(), np.broadcast_to(y, out.shape).tolist())]
+    assert out.tolist() == want
+
+
+@pytest.mark.parametrize("shape, most", [("random", 12.5), ("progression", 27)])
+def test_hashed_peak_memory_per_pair(shape, most):
+    # the tracemalloc peak of one hashed count of 1,000 offsets: about 12.2
+    # bytes per pair on random 70-bit offsets and 26.7 on a progression,
+    # where every key is checked; a reduction over the whole table at once
+    # reads 16.5 on the random offsets
+    import tracemalloc
+    intset._energy_hashed(tuple(2**70 * i for i in range(40)))  # numpy loaded before
+    n = 1000
+    if shape == "random":
+        rng = random.Random(12)
+        els = sorted({rng.getrandbits(70) for _ in range(n)})
+        offsets = tuple(x - els[0] for x in els)
+    else:
+        offsets = tuple((2**100 + 1) * i for i in range(n))
+    pairs = len(offsets) * (len(offsets) - 1) // 2
+    tracemalloc.start()
+    try:
+        energy = intset._energy_hashed(offsets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert energy == (2 * n * n - n if shape == "random" else max_energy(n))
+    assert peak / pairs <= most
+
+
 def pair_loop_differences(els):
     """d+ by the literal loop over pairs a1 < a2."""
     return Counter(y - x for i, x in enumerate(els) for y in els[i + 1:])
@@ -1172,16 +1238,18 @@ def test_profile_equality_and_json_round_trip():
 def test_energy_from_profile_python_int_fallback():
     # a square that fits int64; two that each fit but overflow it together
     # (c^2 < 2^63 < 2 c^2); a square past 2^63; object counts: every sum is
-    # exact.  The counts of each profile sum to n(n-1)/2.
-    for n, positive in ((77_936, {"1": 3_036_971_080}),
-                        (110_000, {"1": 3_024_972_500, "2": 3_024_972_500}),
-                        (2**17, {"1": 2**32, "2": 4_294_901_760}),
-                        (2**36, {"1": 2**70, "5": 2**70 - 2**35})):
-        p = DifferenceProfile.from_json({"n": n, "positive": positive})
-        counts = [int(v) for v in positive.values()]
+    # exact.  The counts of each profile sum to n(n-1)/2, but exceed n - 1,
+    # which no n-set has and from_json refuses, so the profiles are built
+    # as from_json builds them once its checks pass
+    for n, positive in ((77_936, {1: 3_036_971_080}),
+                        (110_000, {1: 3_024_972_500, 2: 3_024_972_500}),
+                        (2**17, {1: 2**32, 2: 4_294_901_760}),
+                        (2**36, {1: 2**70, 5: 2**70 - 2**35})):
+        p = intset._sorted_profile(n, positive, max(positive), max(positive.values()))
+        counts = list(positive.values())
         assert energy_from_profile(p) == n * n + 2 * sum(v * v for v in counts)
         assert p.total_pairs == sum(counts) == n * (n - 1) // 2
-    big = DifferenceProfile.from_json({"n": 2**36, "positive": {"1": 2**71 - 2**35}})
+    big = intset._sorted_profile(2**36, {1: 2**71 - 2**35}, 1, 2**71 - 2**35)
     assert big.counts.dtype == object
 
 
@@ -1191,6 +1259,8 @@ def test_energy_from_profile_python_int_fallback():
     {"n": 2, "positive": {"1": 5}},  # energy_from_profile read 54
     {"n": 3, "positive": {"1": 2}},
     {"n": 0, "positive": {"1": 1}},
+    {"n": 3, "positive": {"1": 3}},  # d+(1) > n - 1; energy_from_profile read 27 > 19
+    {"n": 4, "positive": {"1": 3, "2": 3}},  # each d+ <= 3, but energy 52 > 44
 ])
 def test_profile_from_json_rejects_bad_sizes(data):
     with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from addenergy import (
     product_set,
     ratio_chain,
 )
-from addenergy import intset, products
+from addenergy import BudgetError, intset, products
 from addenergy.products import _encode
 
 
@@ -161,6 +161,19 @@ def test_ratio_chain_shares_leading_factors():
         ratio_chain(11, 2)
     with pytest.raises(ValueError):
         ratio_chain(12, 1)
+
+
+def test_ratio_chain_budget_counts_its_builds(monkeypatch):
+    # w = 12 targets floor(12^3 / 30) = 57 builds, counted before the first
+    with pytest.raises(BudgetError) as info:
+        ratio_chain(12, 2, budget=56)
+    assert (info.value.required, info.value.budget) == (57, 56)
+    assert ratio_chain(12, 2, budget=57) == ratio_chain(12, 2)
+    monkeypatch.setenv("ADDENERGY_BUDGET", "56")
+    with pytest.raises(BudgetError):
+        ratio_chain(12, 2)
+    with pytest.raises(BudgetError):
+        ratio_chain(1000, 2, budget=10**7)
 
 
 def record_code_routes(monkeypatch):
