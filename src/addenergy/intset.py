@@ -40,10 +40,9 @@ sets of ``_NUMPY_MIN_SIZE`` or more elements and diameter below 2^62, and by
 a Counter over ``combinations`` otherwise; either way a
 ``DifferenceProfile`` is two read-only numpy arrays, the ascending distinct
 differences and their counts, and its readers (``energy_from_profile``,
-``to_json``) work on the arrays.  ``incremental_energy_extend`` reads them,
-by one ``searchsorted``, only on the numpy route; on the Counter route (under
-``_NUMPY_MIN_SIZE`` elements, or diameter 2^62 or more) it reads a Counter of
-the differences and builds no profile.
+``to_json``) work on the arrays.  ``incremental_energy_extend`` builds no
+profile: at every size and diameter it reads its n counts from one Counter of
+the differences (``_difference_counter``), in Python ints.
 
 ``_pair_value_counts`` is the one rule the numpy routes (and the group sum
 profile) use to count a table of P pair values in [0, bins), and it takes the
@@ -103,7 +102,7 @@ from collections import Counter
 from functools import cache
 from itertools import chain, combinations, starmap
 from math import gcd, log2, prod
-from operator import add, lt, sub
+from operator import add, index, lt, sub
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
@@ -252,23 +251,19 @@ class DifferenceProfile:
                 dict(zip(self.differences.tolist(), self.counts.tolist())))
         return self._positive
 
-    def _sum_at(self, xs: list[int]) -> int:
-        """Sum of d+(x) over ``xs``, found by one ``searchsorted``.  Each x must
-        be a positive int at most the diameter, so it fits the differences'
-        dtype and its index is below their size; the sum is exact while
-        len(xs) * max(counts) < 2^63 (a profile of an n-set has counts below n)."""
-        import numpy as np
-
-        keys = np.array(xs, dtype=self.differences.dtype)
-        i = self.differences.searchsorted(keys)
-        return int(self.counts[i] @ (self.differences[i] == keys))
-
     def d_plus(self, x: int) -> int:
+        """d+(x) for an integer x > 0, found by one ``searchsorted``; an x up to
+        the diameter fits the differences' dtype, and past it d+(x) = 0."""
+        x = _integer(x)
         if x <= 0:
             raise ValueError("d+ is defined for positive differences only")
-        return self._sum_at([x]) if x <= self.diameter else 0
+        if x > self.diameter:
+            return 0
+        i = self.differences.searchsorted(x)
+        return int(self.counts[i]) if self.differences[i] == x else 0
 
     def d(self, x: int) -> int:
+        x = _integer(x)
         if x == 0:
             return self.n
         return self.d_plus(abs(x))
@@ -330,6 +325,15 @@ def _json_int(value) -> int:
     if isinstance(value, str) and _DECIMAL_INT.fullmatch(value):
         return int(value)
     raise ValueError(f"expected an integer or a decimal-integer string, got {value!r}")
+
+
+def _integer(x) -> int:
+    """``x`` through ``operator.index``, so numpy ints pass; anything else, a
+    float among them, is a ValueError, never truncated."""
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {x!r}") from None
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -1260,28 +1264,21 @@ def affine_image(a, scale: int, shift: int) -> IntSet:
 def incremental_energy_extend(a, energy_a: int, a_new: int) -> int:
     """Energy after appending a_new > max(A), from the energy of A.
 
-    The increment is 4n + 4*sum(t_j) + 1 where t_j = d+(a_new - a_j).  On the
-    Counter route of ``difference_profile`` (n < ``_NUMPY_MIN_SIZE`` or
-    diameter 2^62 or more) the t_j are read from a Counter of the
-    differences y - x, x < y, with no profile arrays built.  Otherwise only
-    a_new - a_j up to the diameter can be a difference; those are looked up
-    in the profile's arrays with one ``searchsorted``, so no lookup value
-    leaves their dtype, and the rest count 0.  The differences are recounted
-    on each call, so a call costs O(n^2), not O(n).  Requires |A| >= 1.
+    The increment is 4n + 4*sum(t_j) + 1 where t_j = d+(a_new - a_j), read
+    from one Counter of the differences y - x, x < y (``_difference_counter``)
+    at any size and diameter, so every lookup is a Python int and no profile
+    is built.  The differences are recounted on each call, so a call costs
+    O(n^2), not O(n).  Requires |A| >= 1; a_new must be an integer
+    (``operator.index``), else a ValueError.
     """
-    s = _as_intset(a)
-    els = s.elements
+    els = _as_intset(a).elements
+    a_new = _integer(a_new)
     if len(els) < 1:
         raise ValueError("need a nonempty base set")
     if a_new <= els[-1]:
         raise ValueError("new element must exceed the current maximum")
-    if len(els) < _NUMPY_MIN_SIZE or not _int64_safe(els):
-        d_plus = _difference_counter(els)
-        t_sum = sum(d_plus[a_new - x] for x in els)
-    else:
-        near = els[bisect_left(els, a_new - (els[-1] - els[0])):]  # a_new - x <= diameter
-        t_sum = difference_profile(s)._sum_at([a_new - x for x in near])
-    return energy_a + 4 * len(els) + 4 * t_sum + 1
+    d_plus = _difference_counter(els)
+    return energy_a + 4 * len(els) + 4 * sum(d_plus[a_new - x] for x in els) + 1
 
 
 def normalize(a) -> IntSet:

@@ -191,6 +191,22 @@ def test_group_profile_cuts(monkeypatch, orders, size, route):
     check()
 
 
+@pytest.mark.parametrize("past, route", [(False, "fft"), (True, "bincount")])
+def test_group_fft_refused_at_its_rounding_bound(monkeypatch, past, route):
+    # an 87-element set of Z_7^3 takes the FFT while _fft_error_bound < 1/4;
+    # with _FFT_ERROR raised to just past the constant where the bound meets
+    # 1/4 it falls back to the bincount, and the profile still equals the
+    # pair loop
+    edge = 0.25 * intset._FFT_ERROR / intset._fft_error_bound(87, (7, 7, 7))
+    monkeypatch.setattr(intset, "_FFT_ERROR", edge * (1 + 1e-9 if past else 1 - 1e-9))
+    assert (intset._fft_error_bound(87, (7, 7, 7)) >= 0.25) == past
+    spec = GroupSpec((7, 7, 7))
+    a = GroupSet.of(spec, random.Random(87).sample(list(spec.elements()), 87))
+    routes = record_group_routes(monkeypatch)
+    check_against_pair_loop(a)
+    assert set(routes) == {route}
+
+
 @pytest.mark.parametrize("constants, label", [
     ({"_FFT_COST": 0, "_FFT_FIXED": -1}, "fft"),
     ({"_FFT_COST": float("inf"), "_BINCOUNT_RATIO": float("inf")}, "bincount"),

@@ -29,8 +29,8 @@ from addenergy import (
     normalize,
 )
 from addenergy import cli, constructions, intset
-from addenergy.intset import (_HASH_EXACT, _HASH_MODULUS, _energy_counter, _energy_numpy,
-                              _int64_safe)
+from addenergy.intset import (_HASH_EXACT, _HASH_MODULUS, _difference_counter, _energy_counter,
+                              _energy_numpy, _int64_safe)
 
 
 def incremental_rebuild(a):
@@ -111,6 +111,12 @@ def test_incremental_examples():
         incremental_energy_extend([1, 2, 3], 19, 3)
     with pytest.raises(ValueError):
         incremental_energy_extend([], 0, 1)
+    # a float is refused, not truncated (40.5 read as 40 gave 45,957)
+    e40 = energy_oracle(range(40))
+    for bad in (40.5, np.float64(41.0)):
+        with pytest.raises(ValueError, match="expected an integer"):
+            incremental_energy_extend(range(40), e40, bad)
+    assert incremental_energy_extend(range(40), e40, np.int64(40)) == energy_oracle(range(41))
 
 
 def test_normalize_examples():
@@ -372,6 +378,20 @@ def test_fft_boundary(monkeypatch):
         assert routes[-1] == want  # the profile's table has the same size and L
         routes.clear()
         assert energy_oracle(a) == by_profile == _energy_counter(a.elements)
+        assert routes == ["numpy", want]
+    # the n = 213 set takes the FFT only while _fft_error_bound < 1/4: with
+    # _FFT_ERROR just below and just past the constant where the bound meets
+    # 1/4, the FFT, then the bincount, and every count equals the Counter
+    a = IntSet(list(range(212)) + [511])
+    edge = 0.25 * intset._FFT_ERROR / intset._fft_error_bound(213, (1024,))
+    for scale, want in ((1 - 1e-9, "fft"), (1 + 1e-9, "bincount")):
+        monkeypatch.setattr(intset, "_FFT_ERROR", edge * scale)
+        routes.clear()
+        p = difference_profile(a)
+        assert routes == [want]
+        assert dict(p.positive) == _difference_counter(a.elements)
+        routes.clear()
+        assert energy_oracle(a) == energy_from_profile(p) == _energy_counter(a.elements)
         assert routes == ["numpy", want]
 
 
@@ -1203,20 +1223,50 @@ def test_profile_reads_at_every_range():
         for x in (top + 1, 2**63 - 1, 2**63, 2**64 + 1, 2**200):
             if x > top:
                 assert p.d_plus(x) == p.d(x) == p.d(-x) == 0
+        # numpy ints are ints; a float is refused, not truncated (1.5 read as 1)
+        assert p.d_plus(np.int64(1)) == p.d(np.int32(-1)) == p.positive.get(1, 0)
+        for bad in (1.5, 2.0, np.float64(2.0), "1", None):
+            for read in (p.d, p.d_plus):
+                with pytest.raises(ValueError, match="expected an integer"):
+                    read(bad)
     assert difference_profile([0, 1, 2]).differences.dtype == np.int64
     assert difference_profile([5]).d_plus(2**70) == 0
 
 
 @pytest.mark.parametrize("base, a_new", [
-    ([0, 1, 3], 2**64),  # a Counter-route int64 profile, every lookup past the diameter
-    (list(range(40)), 2**63 + 5),  # the numpy route
-    ([0, 2**62, 2**63 - 1], 2**63 + 2**62 - 1),  # int64 up to 2^63 - 1: two lookups hit
-    ([0, 2**64, 2**65], 2**65 + 2**64),  # object differences: 2^65 and 2^64 hit
+    ([0, 1, 3], 2**64),  # every lookup past the diameter and past 2^63
+    (list(range(40)), 2**63 + 5),  # 40 small elements, every lookup past 2^63
+    ([0, 2**62, 2**63 - 1], 2**63 + 2**62 - 1),  # differences up to 2^63 - 1: two lookups hit
+    ([0, 2**64, 2**65], 2**65 + 2**64),  # differences past 2^63: 2^65 and 2^64 hit
     ([-2**70, 5], 2**70),
 ])
 def test_incremental_past_2_63(base, a_new):
     want = energy_oracle(base + [a_new])
     assert incremental_energy_extend(base, energy_oracle(base), a_new) == want
+
+
+@st.composite
+def appends(draw):
+    """A set of 1-80 elements and an element past its maximum: gaps of at
+    most 4, 2^20, 2^58, 2^62 or 2^70, so that diameters fall on both sides of
+    2^62 and 2^63, and sizes on both sides of ``_NUMPY_MIN_SIZE``."""
+    top = draw(st.sampled_from([4, 2**20, 2**58, 2**62, 2**70]))
+    start = draw(st.integers(-2**70, 2**70))
+    n = draw(st.integers(1, 80))
+    gaps = draw(st.lists(st.integers(1, top), min_size=n, max_size=n))
+    *base, a_new = accumulate(gaps, initial=start)
+    return base, a_new
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(appends())
+@example(([0, 2**62 - 1], 2**62 + 5))
+@example((list(range(31)) + [2**63 - 1], 2**63))
+@example((list(range(32)), 2**70))
+def test_incremental_matches_the_oracle(case):
+    base, a_new = case
+    assert (incremental_energy_extend(base, energy_oracle(base), a_new)
+            == energy_oracle(base + [a_new]))
 
 
 def test_profile_equality_and_json_round_trip():

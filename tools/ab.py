@@ -22,6 +22,19 @@ Each run of a probe is a fresh interpreter whose ``PYTHONPATH`` is one side's
   2^62 (``LARGE_COUNTS``) in a process of its own, so that its peak RSS is its
   own, with its time and energy or exception.  The largest peaks near 1.6 GB.
 
+What each probe can resolve, from null runs (both sides one ``src``, 10
+pairs, on a 2-core Xeon):
+
+* ``startup``: null medians moved by up to 7% (``import addenergy`` 155.3 ->
+  144.9 ms), so only a change well past that, such as the halving of the
+  import time when numpy left it, reads as real;
+* ``calls``: a null run read count-mix ``op_ms_p50`` +2.3%, after lower in 1
+  of 10 pairs, so a change of a few percent can meet a pair rule by chance;
+  a claim that small needs a null run of its own beside it;
+* ``hashed``: each process's speed is bimodal (one seed's schedule sum falls
+  near 3.1-3.5 or 5.0-6.4 ms, an IQR up to 40% of the median, which best of
+  ``BEST_OF`` does not remove), so it resolves only changes well above 10%.
+
 The sides alternate for ``PAIRS`` pairs, the first side switching each pair,
 so host drift slows both alike.  A probe returns a flat mapping of names to
 numbers and strings.  Each number gets each side's median, inclusive quartiles
