@@ -10,10 +10,11 @@ as a built witness failing its recount).
 Neither numpy nor mpmath is imported at module level, here or in the
 library (the import rule in ``intset``).  So a call that counts no set of 32
 or more elements, such as ``energy`` or ``construct`` below 32 elements,
-``ratio-chain`` below w = 32, ``min-ratio`` or ``sidon`` without ``--check``,
-never loads numpy, and only ``density-curve`` loads mpmath.  ``profile`` is
-the exception: it loads numpy at any size, since ``intset._sorted_profile``
-builds the profile's arrays even on the Counter route.
+``product --oracle`` below 32 tuples, ``ratio-chain`` below w = 32,
+``min-ratio`` or ``sidon`` without ``--check``, never loads numpy, and only
+``density-curve`` loads mpmath.  ``profile`` is the exception: it loads
+numpy at any size, since ``intset._sorted_profile`` builds the profile's
+arrays even on the Counter route.
 """
 
 from __future__ import annotations

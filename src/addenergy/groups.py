@@ -128,7 +128,13 @@ class GroupSet:
 
     @classmethod
     def of(cls, group: GroupSpec, elements) -> "GroupSet":
-        return cls(group, frozenset(tuple(map(int, x)) for x in elements))
+        """The set of ``elements``, each a sequence of coordinates read
+        through ``operator.index``: numpy ints pass, and anything else, a
+        float among them, is a ValueError, never truncated."""
+        try:
+            return cls(group, frozenset(tuple(map(operator.index, x)) for x in elements))
+        except TypeError as e:
+            raise ValueError(f"residue vectors must hold integers: {e}") from None
 
     @classmethod
     def full(cls, group: GroupSpec) -> "GroupSet":

@@ -157,8 +157,10 @@ class IntSet:
     Input whose items are all of type ``int`` exactly (no bool, no numpy
     int, no subclass) and strictly ascending, as two C-level passes over it
     show, is taken as it comes, and a tuple is kept as the same object;
-    anything else is converted by ``int``, deduplicated and sorted, to the
-    same elements.
+    anything else is read through ``operator.index``, deduplicated and
+    sorted, to the same elements.  So bools and numpy ints pass, and an
+    item that is not an integer (a float, a string, None) is a ValueError,
+    never truncated.
     """
 
     __slots__ = ("elements",)
@@ -166,7 +168,10 @@ class IntSet:
     def __init__(self, elements: Iterable[int] = ()):
         t = tuple(elements)
         if not (set(map(type, t)) <= {int} and all(map(lt, t, t[1:]))):
-            t = tuple(sorted({int(x) for x in t}))
+            try:
+                t = tuple(sorted(set(map(index, t))))
+            except TypeError as e:
+                raise ValueError(f"set elements must be integers: {e}") from None
         self.elements: tuple[int, ...] = t
 
     @classmethod
@@ -1254,7 +1259,9 @@ def max_energy(n: int) -> int:
 
 
 def affine_image(a, scale: int, shift: int) -> IntSet:
-    """The set {scale*x + shift}; energy is invariant for scale != 0."""
+    """The set {scale*x + shift}; energy is invariant for scale != 0.  The
+    scale and shift must be integers (``operator.index``), else a ValueError."""
+    scale, shift = _integer(scale), _integer(shift)
     if scale == 0:
         raise ValueError("scale 0 collapses the set")
     s = _as_intset(a)

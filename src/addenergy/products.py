@@ -3,10 +3,11 @@
 A product set is a list of factor sets added componentwise (no wraparound).
 Quadruple identities split coordinatewise, so the energy of the product is
 the product of the factor energies; ``product_energy_oracle`` checks that
-extensionally by materializing the tuples as carry-free integer codes and
-handing them to ``intset.energy_oracle``, a route independent of the
-multiplicative one.  The boolean-cube exponent counts its subsets the same
-way, through radix-3 codes.
+extensionally by materializing the tuples as carry-free integer codes, one
+pure-Python pass per factor, and handing them to ``intset.energy_oracle``,
+a route independent of the multiplicative one.  The boolean-cube exponent
+counts its subsets the same way, through radix-3 codes.  This module never
+imports numpy: ``energy_oracle`` alone decides how the codes are counted.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, log2, prod
+from math import comb, log, log2, prod
 
 from .constructions import LACUNARY_RATIO_MIN, build_with_target_energy
 from .errors import BudgetError, default_budget
-from .intset import _NUMPY_MIN_SIZE, IntSet, _as_intset, energy_oracle
+from .intset import IntSet, _as_intset, energy_oracle
 
 MATERIALIZE_CAP = 10_000
 
@@ -78,44 +79,24 @@ def materialize(p: ProductSet) -> list[tuple[int, ...]]:
 
 def _encode(p: ProductSet) -> list[int]:
     """Tuples as digits in radix 2M-1, under which pair sums are carry-free,
-    in the lexicographic order of ``materialize``.
-
-    While radix^d < 2^63 every code fits int64, and numpy builds them by one
-    outer sum per factor: codes * radix + digit, flattened in C order, so
-    the last factor varies fastest.  On the product rung of the
-    ``count-mix`` benchmark (two factors over 48 letters, 720 to 780 tuples)
-    that took the encode from 0.12 to 0.024 ms, best of 50 (2-core Xeon).
-    Past 2^63, or below ``_NUMPY_MIN_SIZE`` tuples, whose energy the Counter
-    counts without loading numpy, the codes are Python ints, built tuple by
-    tuple.
-    """
-    radix = 2 * p.alphabet_size - 1
-    if p.size < _NUMPY_MIN_SIZE or radix ** p.dimension >= 2**63:
-        codes = []
-        for tup in materialize(p):
-            c = 0
-            for digit in tup:
-                c = c * radix + digit
-            codes.append(c)
-        return codes
-    import numpy as np
-
+    in the lexicographic order of ``materialize``: one pass per factor takes
+    each code so far times the radix plus each of the factor's letters, so
+    the last factor varies fastest.  The codes are Python ints at any
+    radix and dimension."""
     _check_cap(p)
-    codes = np.zeros(1, dtype=np.int64)
+    radix = 2 * p.alphabet_size - 1
+    codes = [0]
     for f in p.factors:
-        codes = (codes[:, None] * radix + np.array(f.elements, dtype=np.int64)).ravel()
-    return codes.tolist()
+        codes = [c * radix + d for c in codes for d in f.elements]
+    return codes
 
 
 def product_energy_oracle(p: ProductSet) -> int:
     """Energy by materializing all tuples and counting pair sums directly.
 
     The tuples become distinct carry-free integer codes, so the product's
-    energy is ``energy_oracle`` of the codes.  The codes of d factors over M
-    letters span less than (2M - 1)^d, so a dense product is counted by the
-    FFT over the least 2^a 3^b 5^c points at least twice that span plus one
-    (``intset._transform_length``): 9,216 for two factors over 48 letters,
-    whose codes span up to 4,512, where the power of two was 16,384.
+    energy is ``energy_oracle`` of the codes, which alone decides how they
+    are counted.  Products past ``MATERIALIZE_CAP`` tuples are a ValueError.
     """
     # already strictly ascending: _encode walks the sorted factors in lex
     # order, and every digit is below the radix
@@ -143,18 +124,16 @@ def cube_energy_exponent(k: int) -> CubeExponentReport:
     cube_energy = 6 ** k
     if k > 3:
         return CubeExponentReport(k, cube_energy, KT_EXPONENT, None, None)
-    import numpy as np
-
     points = list(product((0, 1), repeat=k))
     # radix-3 codes: coordinate sums are at most 2, so pair sums are carry-free
     code = {pt: sum(c * 3**i for i, c in enumerate(pt)) for pt in points}
     best, best_subset = None, None
     for size in range(2, len(points) + 1):
         for subset in combinations(points, size):
-            ratio = np.log(energy_oracle([code[pt] for pt in subset])) / np.log(size)
+            ratio = log(energy_oracle([code[pt] for pt in subset])) / log(size)
             if best is None or ratio > best:
                 best, best_subset = ratio, subset
-    return CubeExponentReport(k, cube_energy, KT_EXPONENT, float(best), best_subset)
+    return CubeExponentReport(k, cube_energy, KT_EXPONENT, best, best_subset)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from itertools import islice
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from addenergy import (
@@ -145,6 +145,11 @@ def record_group_routes(monkeypatch):
     return routes
 
 
+# the route checks draw sets of up to 87 points, which hypothesis shrinks for
+# minutes when a cut moves; the first failing example is report enough
+NO_SHRINK = [Phase.explicit, Phase.generate]
+
+
 @pytest.mark.parametrize("orders, min_size, route", [
     ((7, 7, 7), 19, "bincount"),  # 343 < 1.5 * n^2, and n^2 <= 40^2 below the FFT cut
     ((2, 4, 6), 13, "bincount"),  # 2-torsion, 48 < 1.5 * n^2
@@ -154,7 +159,7 @@ def record_group_routes(monkeypatch):
 def test_group_profile_routes(monkeypatch, orders, min_size, route):
     routes = record_group_routes(monkeypatch)
 
-    @settings(derandomize=True, deadline=None, max_examples=15)
+    @settings(derandomize=True, deadline=None, max_examples=15, phases=NO_SHRINK)
     @given(group_sets(st.just(orders), min_size=min_size))
     def check(a):
         routes.clear()
@@ -181,7 +186,7 @@ def test_group_profile_cuts(monkeypatch, orders, size, route):
     # sets of exactly the size on either side of each cut
     routes = record_group_routes(monkeypatch)
 
-    @settings(derandomize=True, deadline=None, max_examples=15)
+    @settings(derandomize=True, deadline=None, max_examples=15, phases=NO_SHRINK)
     @given(group_sets(st.just(orders), min_size=size, max_size=size))
     def check(a):
         routes.clear()
@@ -291,6 +296,16 @@ def test_group_set_rejects_bad_vectors(bad, message):
             GroupSet.of(spec, vectors)
         assert str(info.value) == message
     assert GroupSet.of(spec, good).elements == frozenset(good)
+
+
+@pytest.mark.parametrize("bad", [(1.5,), (np.float64(2.0),), ("3",), (None,), 3])
+def test_group_set_refuses_non_integer_coordinates(bad):
+    # coordinates go through operator.index: nothing is truncated by int()
+    spec = GroupSpec((7,))
+    for vectors in ([bad], [(0,), bad]):
+        with pytest.raises(ValueError, match="residue vectors must hold integers"):
+            GroupSet.of(spec, vectors)
+    assert GroupSet.of(spec, [(np.int64(3),), (True,)]).elements == frozenset({(3,), (1,)})
 
 
 def test_group_set_accepts_the_empty_set():

@@ -144,7 +144,6 @@ INTSET_VALUES = st.one_of(
     st.integers(-2**70, 2**70),
     st.booleans(),
     st.integers(-2**63, 2**63 - 1).map(np.int64),
-    st.floats(-1e6, 1e6),
 )
 INTSET_FORMS = {
     "list": list,
@@ -167,6 +166,21 @@ def test_intset_elements_are_sorted_distinct_ints(values, form):
     assert els == want and all(type(x) is int for x in els)
     # a strictly ascending tuple of ints is kept as it is
     assert IntSet(want).elements is want
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(3.0), "3", None])
+def test_intset_refuses_non_integers(bad):
+    # read through operator.index: a float, even a whole one, a numeric
+    # string or None is refused, not truncated by int()
+    for values in ([0, bad, 5], (bad,), [5, 0, bad]):
+        with pytest.raises(ValueError, match="set elements must be integers"):
+            IntSet(values)
+    with pytest.raises(ValueError):
+        energy_oracle([0, bad, 2])
+    with pytest.raises(ValueError):
+        affine_image([0, 1, 2], bad, 0)
+    with pytest.raises(ValueError):
+        affine_image([0, 1, 2], 1, bad)
 
 
 def test_intset_json_round_trip():

@@ -1,6 +1,8 @@
 """Coordinatewise products: multiplicativity, cube exponent, ratio chains."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -16,7 +18,7 @@ from addenergy import (
     product_set,
     ratio_chain,
 )
-from addenergy import BudgetError, intset, products
+from addenergy import BudgetError, intset
 from addenergy.products import _encode
 
 
@@ -112,6 +114,21 @@ def test_cube_energy_exponent():
     assert r9.cube_energy == 6**9 and r9.max_exponent is None
     with pytest.raises(ValueError):
         cube_energy_exponent(0)
+
+
+def test_products_load_no_numpy():
+    # the encoder and the cube exponent are pure Python, and energy_oracle
+    # counts fewer than 32 codes by its Counter, so neither loads numpy
+    probe = ("import sys\n"
+             "from addenergy import (cube_energy_exponent, product_energy,\n"
+             "                       product_energy_oracle, product_set)\n"
+             "assert cube_energy_exponent(3).max_exponent is not None\n"
+             "p = product_set([[0, 1, 3], [0, 2], [1, 4, 5]], 6)\n"
+             "assert p.size < 32 and product_energy_oracle(p) == product_energy(p)\n"
+             "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["False"]
 
 
 def test_full_cube_energy_by_materialized_count():
@@ -225,26 +242,23 @@ def encode_by_loop(p):
     return codes
 
 
-@pytest.mark.parametrize("factors, alphabet, by_numpy", [
-    # d = 1, 2, 3 with 32 tuples or more: numpy builds the codes
-    ([range(0, 48, 2)] * 2 + [[5]], 48, True),
-    ([range(40)], 40, True),
-    ([[0, 3, 7, 47], range(0, 48, 3)], 48, True),
-    ([[1, 2, 9], range(10), [0, 4, 8, 9]], 10, True),
-    # under 32 tuples: the loop, so the Counter loads no numpy
-    ([[0, 1], [0, 2, 3]], 4, False),
-    # alphabet 2^20: radix^3 = (2^21 - 1)^3 < 2^63, so numpy, at the edge
-    ([[0, 2**20 - 1], range(0, 2**20, 2**15), [0, 1]], 2**20, True),
-    # one letter more: radix^3 = (2^21 + 1)^3 >= 2^63, Python ints by the loop
-    ([[0, 2**20 - 1], range(0, 2**20, 2**15), [0, 1]], 2**20 + 1, False),
-    ([[0, 1, 10**18], [0, 10**17]], 10**18 + 1, False),
+@pytest.mark.parametrize("factors, alphabet", [
+    # d = 1, 2, 3 with 32 tuples or more
+    ([range(0, 48, 2)] * 2 + [[5]], 48),
+    ([range(40)], 40),
+    ([[0, 3, 7, 47], range(0, 48, 3)], 48),
+    ([[1, 2, 9], range(10), [0, 4, 8, 9]], 10),
+    # under 32 tuples
+    ([[0, 1], [0, 2, 3]], 4),
+    # alphabet 2^20: radix^3 = (2^21 - 1)^3 < 2^63, codes up to just below 2^63
+    ([[0, 2**20 - 1], range(0, 2**20, 2**15), [0, 1]], 2**20),
+    # one letter more: radix^3 = (2^21 + 1)^3 >= 2^63, codes past 2^63
+    ([[0, 2**20 - 1], range(0, 2**20, 2**15), [0, 1]], 2**20 + 1),
+    ([[0, 1, 10**18], [0, 10**17]], 10**18 + 1),
 ])
-def test_encode_matches_the_loop(factors, alphabet, by_numpy, monkeypatch):
+def test_encode_matches_the_loop(factors, alphabet):
     p = product_set(factors, alphabet)
-    loops = []
-    monkeypatch.setattr(products, "materialize", lambda p: loops.append(p) or materialize(p))
     codes = _encode(p)
-    assert bool(loops) != by_numpy
     assert codes == encode_by_loop(p)
     assert all(type(c) is int for c in codes)
     assert codes == sorted(set(codes))  # lexicographic order: ascending, distinct
