@@ -5,7 +5,7 @@ stdout; diagnostics go to stderr.  All potentially large numbers are emitted
 as decimal strings.  Exit codes: 0 success, 1 precondition error (a usage
 error or a bad ADDENERGY_BUDGET included), 2 budget exhaustion or out of
 memory, 3 target energy unreached, 4 internal error (a broken invariant, such
-as a built witness failing its recount).
+as a built witness failing its recount or a failed ``verify`` check).
 
 Neither numpy nor mpmath is imported at module level, here or in the
 library (the import rule in ``intset``).  So a call that counts no set of 32
@@ -210,7 +210,7 @@ def _cmd_verify(args, out) -> int:
         out.write(line.rstrip() + "\n")
     failed = sum(1 for r in results if not r.ok)
     out.write(f"{len(results) - failed}/{len(results)} checks passed\n")
-    return EXIT_OK if failed == 0 else EXIT_PRECONDITION
+    return EXIT_OK if failed == 0 else EXIT_INTERNAL
 
 
 def _write_gap_svg(s: spectrum.EnergySpectrum, path: str) -> None:

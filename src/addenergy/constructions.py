@@ -143,7 +143,14 @@ def _validate_stage(n: int, j: int, k: int) -> None:
 
 
 def tail_contribution(n: int, j: int) -> int:
-    """Energy added by j isolated tail elements: sum of 4s+1 as size grows."""
+    """Energy added by j isolated tail elements: sum of 4s+1 as size grows.
+
+    A tail element x above a set S of size s with x + min S > 2 * max S
+    makes s new sums x + b, each above every sum of S and all distinct, and
+    the double 2x above them, so it adds exactly 4s + 1 (the lemma
+    ``energy_oracle`` peels by).  Summed over s = n - j, ..., n - 1 this is
+    2n(n - 1) - 2b(b - 1) + j, b = n - j.
+    """
     b = n - j
     return 2 * n * (n - 1) - 2 * b * (b - 1) + j
 
@@ -299,8 +306,15 @@ def build_with_target_energy(n: int, target: int, base: int = 10) -> BuildResult
     whether the remaining gap is a multiple of 4 within the stage's swap
     budget.  Targets run from 2n^2 - n up to max_energy(n), which stage 0,
     the progression {1..n}, attains.  Every returned witness is re-verified
-    by direct counting; a miss returns a ``reached=False`` result carrying
+    by ``energy_oracle``; a miss returns a ``reached=False`` result carrying
     the closest achieved value.
+
+    The recount peels the tail above the last swapped block in O(1) per
+    element (``tail_contribution``'s 4s + 1 lemma) and counts the body and
+    the swapped blocks by direct counting.  It tests each element's
+    isolation on the witness itself, not on the schedule, so a schedule bug
+    that left a tail element not isolated is still counted directly and
+    caught here.
     """
     if n < MIN_BUILD_SIZE:
         raise ValueError(f"builder supports n >= {MIN_BUILD_SIZE}")

@@ -11,7 +11,11 @@ computes it by three mutually checking routes:
     (``incremental_energy_extend``).
 
 All arithmetic is exact.  Elements are arbitrary-precision Python ints.
-``energy_oracle`` counts the offsets x - min(A) by the first route that fits:
+``energy_oracle`` first peels the isolated top elements: while the top x and
+the rest S have x + min S > 2 * max S, the sums x + b, b in S, are distinct
+and above every sum of S, so x adds exactly 4|S| + 1 and is dropped (proof
+in its docstring).  It counts the offsets x - min of the rest by the first
+route that fits its own size and diameter:
 
   * fewer than ``_NUMPY_MIN_SIZE`` elements: a pure-Python Counter
     (``_energy_counter``) of the unordered pair sums u(s), x < y, over
@@ -1157,20 +1161,43 @@ def energy_oracle(a) -> int:
 
     For each attainable sum s the number r(s) of ordered pairs summing to s
     is counted; the energy is sum r(s)^2.  This is the reference method every
-    other energy route is checked against.  Sets of fewer than
-    ``_NUMPY_MIN_SIZE`` elements go to ``_energy_counter``, the rest with
-    diameter below 2^62 to ``_energy_numpy``, and past 2^62 the offsets
-    x - min go to ``_energy_hashed`` at any size; the hashed route itself
-    hands a set with a repeated residue mod ``_HASH_MODULUS``, or with a hash
-    collision, to the Counter.  Every route is exact.
+    other energy route is checked against.
+
+    First the isolated top elements are peeled: while n >= 2 and
+    x + min S > 2 * max S, for x the top element and S the n - 1 below it,
+    x is dropped and 4|S| + 1 added.  Every sum x + b, b in S, is at least
+    x + min S, so above every sum of S; these sums are distinct, as the b
+    are, and 2x lies above them all.  So each new sum is hit by exactly the
+    ordered pairs (x, b) and (b, x), or (x, x), and E(S + {x}) = E(S) +
+    4|S| + 1 exactly, in Python ints, so there is no overflow bound.  This
+    is still a direct count of the sum multiset: each peeled sum is shown to
+    be hit once, not assumed.  At equality x + min S = 2 * max S is a true
+    collision, so the test is strict.  The test is made on the elements
+    themselves, not on how the set was built, so a builder's tail element
+    that is not isolated is counted directly.  Peeling costs one comparison
+    on a set with no isolated top.
+
+    The remaining elements are counted by the first route that fits their
+    own size and diameter: fewer than ``_NUMPY_MIN_SIZE`` elements go to
+    ``_energy_counter``, the rest with diameter below 2^62 to
+    ``_energy_numpy``, and past 2^62 the offsets x - min go to
+    ``_energy_hashed`` at any size; the hashed route itself hands a set with
+    a repeated residue mod ``_HASH_MODULUS``, or with a hash collision, to
+    the Counter.  Every route is exact.
     """
     els = _as_intset(a).elements
-    if len(els) < _NUMPY_MIN_SIZE:
-        return _energy_counter(els)
+    n = len(els)
+    peeled = 0
+    while n >= 2 and els[n - 1] + els[0] > 2 * els[n - 2]:
+        n -= 1
+        peeled += 4 * n + 1
+    els = els[:n]
+    if n < _NUMPY_MIN_SIZE:
+        return peeled + _energy_counter(els)
     if _int64_safe(els):
-        return _energy_numpy(els)
+        return peeled + _energy_numpy(els)
     m = els[0]
-    return _energy_hashed(tuple(x - m for x in els))
+    return peeled + _energy_hashed(tuple(x - m for x in els))
 
 
 def energy_by_quadruples(a) -> int:
@@ -1252,7 +1279,9 @@ def max_energy(n: int) -> int:
 
     Attained exactly by arithmetic progressions.  The product
     (n-1)n(2n-1) is always divisible by 3, so the value is an exact integer.
+    n must be an integer (``operator.index``), else a ValueError.
     """
+    n = _integer(n)
     if n < 0:
         raise ValueError("set size must be nonnegative")
     return n * n + (n - 1) * n * (2 * n - 1) // 3

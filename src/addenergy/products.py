@@ -19,7 +19,7 @@ from math import comb, log, log2, prod
 
 from .constructions import LACUNARY_RATIO_MIN, build_with_target_energy
 from .errors import BudgetError, default_budget
-from .intset import IntSet, _as_intset, energy_oracle
+from .intset import IntSet, _as_intset, _integer, energy_oracle
 
 MATERIALIZE_CAP = 10_000
 
@@ -34,6 +34,9 @@ class ProductSet:
     factors: tuple[IntSet, ...]
 
     def __post_init__(self):
+        # an integer through operator.index, so a float alphabet is a
+        # ValueError instead of building float codes
+        object.__setattr__(self, "alphabet_size", _integer(self.alphabet_size))
         if self.alphabet_size < 2:
             raise ValueError("alphabet size must be >= 2")
         if not self.factors:

@@ -108,3 +108,33 @@ def test_calls_times_every_rung_product_included(ab, monkeypatch):
         assert out[f"energy_oracle {shape} total us"] > 0
     assert out["GroupSet.of group total us"] > 0
     assert len(out["count-mix digest"]) == 64
+
+
+def test_hashed_times_the_self_check_apart(ab, monkeypatch):
+    # one in-process run of the probe on one seed, at one run per call, with
+    # small memory sets and no large count (each would start a process)
+    from addenergy import constructions, intset
+
+    monkeypatch.setattr(ab, "BEST_OF", 1)
+    monkeypatch.setattr(ab, "HASHED_SEEDS", (1,))
+    monkeypatch.setattr(ab, "MEMORY_SIZES", (40,))
+    monkeypatch.setattr(ab, "LARGE_COUNTS", {})
+    counted = []
+
+    def oracle_spy(a):
+        counted.append(a)
+        return intset.energy_oracle(a)
+
+    monkeypatch.setattr(constructions, "energy_oracle", oracle_spy)
+    out = ab.hashed()
+    assert set(out) == {"seed 1 witness ms", "seed 1 oracle ms", "seed 1 schedule ms",
+                        "n=40 random bytes per pair", "n=40 progression bytes per pair"}
+    assert all(v > 0 for v in out.values())
+    # each witness is counted by its build's self-check and once more, timed;
+    # the timed builds of the schedule count nothing, and the self-check is
+    # put back
+    import workloads
+
+    assert len(counted) == 2 * len(workloads.BuildBand().deck(1))
+    assert counted[::2] == counted[1::2]
+    assert constructions.energy_oracle is oracle_spy

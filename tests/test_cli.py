@@ -16,7 +16,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from addenergy import cli, intset
 from addenergy.cli import main
-from addenergy.verify import SUITES
+from addenergy.verify import SUITES, CheckResult
 
 
 def run_cli(argv):
@@ -158,6 +158,17 @@ def test_verify_subcommand():
     assert out.strip().endswith("checks passed")
     printed = {line.split()[1].rstrip(":") for line in out.splitlines()[:-1]}
     assert printed == set(SUITES)
+
+
+def test_failed_verify_check_is_internal(monkeypatch):
+    # a failed check is a broken invariant, not a user error: exit 4, with
+    # the FAIL line and the tally still on stdout
+    failing = [CheckResult("core", "three-way energy agreement", False, "60 random sets")]
+    monkeypatch.setattr(cli, "run_suite", lambda suite, seed: failing)
+    code, out = run_cli(["verify"])
+    assert code == 4
+    assert out == ("FAIL  core: three-way energy agreement  [60 random sets]\n"
+                   "0/1 checks passed\n")
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,8 @@ def test_intset_refuses_non_integers(bad):
         affine_image([0, 1, 2], bad, 0)
     with pytest.raises(ValueError):
         affine_image([0, 1, 2], 1, bad)
+    with pytest.raises(ValueError):
+        max_energy(bad)
 
 
 def test_intset_json_round_trip():
@@ -268,11 +270,13 @@ def test_numpy_and_python_paths_agree():
         assert _energy_numpy(els) == slow
 
 
-def record_routes(monkeypatch):
+def record_routes(monkeypatch, sizes=None):
     """Record every counting route a count takes: "counter" and "hashed" for
     ``_energy_counter`` and ``_energy_hashed``, "numpy" for ``_energy_numpy``,
     then each ``np.bincount`` block, or one "fft" for a table counted by the
-    FFT, "sort" or "sort64" for one sorted as int32 or int64."""
+    FFT, "sort" or "sort64" for one sorted as int32 or int64.  Each of the
+    three routes also appends the number of elements it got to ``sizes``,
+    when given."""
     routes = []
     real_bincount = np.bincount
 
@@ -296,38 +300,52 @@ def record_routes(monkeypatch):
 
     def numpy_spy(els):
         routes.append("numpy")
+        if sizes is not None:
+            sizes.append(len(els))
         return real_numpy(els)
 
     monkeypatch.setattr(intset, "_energy_numpy", numpy_spy)
     for name, label in (("_energy_counter", "counter"), ("_energy_hashed", "hashed")):
         def spy(els, real=getattr(intset, name), label=label):
             routes.append(label)
+            if sizes is not None:
+                sizes.append(len(els))
             return real(els)
 
         monkeypatch.setattr(intset, name, spy)
     return routes
 
 
+def beside_top(n, top):
+    """{0, ..., n - 3, top - 1, top}: n elements of diameter ``top`` whose top
+    is not isolated (top + 0 < 2 (top - 1) for top > 2), so ``energy_oracle``
+    peels nothing and counts all n."""
+    return IntSet(list(range(n - 2)) + [top - 1, top])
+
+
 def test_int64_boundary_routes(monkeypatch):
-    # the route depends on the size and the diameter only: offsets from the
-    # minimum below 2^62 keep every pair sum inside int64, wherever the set
-    # lies; past 2^62 they are hashed
+    # the route depends on the size and the diameter of the set left after
+    # peeling only: offsets from the minimum below 2^62 keep every pair sum
+    # inside int64, wherever the set lies; past 2^62 they are hashed
     routes = record_routes(monkeypatch)
     cases = [
         (IntSet(range(31)), ["counter"]),
-        (IntSet(list(range(40)) + [2**62 - 1]), ["numpy", "sort64"]),
+        (beside_top(42, 2**62 - 1), ["numpy", "sort64"]),
         # 2^62 - 2P and 2^62 share a residue: the Counter, at diameter 2^62
-        (IntSet(list(range(40)) + [2**62 - 2 * _HASH_MODULUS, 2**62]), ["hashed", "counter"]),
-        (IntSet(list(range(40)) + [2**62 + 2**40]), ["hashed"]),
+        (IntSet(list(range(40)) + [2**62 - 2 * _HASH_MODULUS, 2**62 - 1, 2**62]),
+         ["hashed", "counter"]),
+        (beside_top(42, 2**62 + 2**40), ["hashed"]),
+        # a lone top is isolated and peeled: the 40 below it go to numpy
+        (IntSet(list(range(40)) + [2**62 + 2**40]), ["numpy", "bincount"]),
         (IntSet(2**64 + x for x in range(40)), ["numpy", "bincount"]),
         (IntSet(-2**70 + x for x in range(40)), ["numpy", "bincount"]),
         # a progression of step 2^70: nearly every neighbour is compared
         (IntSet(2**70 * i for i in range(40)), ["hashed"]),
         (IntSet(2**70 * i + 3 for i in range(40)), ["hashed"]),
-        (IntSet([2 * i for i in range(40)] + [2**63 + 2**41]), ["hashed"]),
+        (IntSet([2 * i for i in range(40)] + [2**63 + 2**41 - 1, 2**63 + 2**41]), ["hashed"]),
         # sums of offsets up to 2^30 - 1 fit int32, one more does not
-        (IntSet(list(range(40)) + [2**30 - 1]), ["numpy", "sort"]),
-        (IntSet(list(range(40)) + [2**30]), ["numpy", "sort64"]),
+        (beside_top(42, 2**30 - 1), ["numpy", "sort"]),
+        (beside_top(42, 2**30), ["numpy", "sort64"]),
     ]
     for a, want in cases:
         by_profile = energy_from_profile(difference_profile(a))
@@ -335,6 +353,62 @@ def test_int64_boundary_routes(monkeypatch):
         assert energy_oracle(a) == by_profile
         assert routes == want
     assert _int64_safe(cases[1][0].elements) and not _int64_safe(cases[2][0].elements)
+
+
+# ---------------------------------------------------------------------------
+# isolated tops: peeled before any route
+# ---------------------------------------------------------------------------
+
+# how far a new top x lies past 2 max S - min S: at 0, x + min S = 2 max S is
+# a true collision and x is not isolated; from 1 on it is
+TOP_GAPS = st.sampled_from([-1, 0, 1, 2**70])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.sampled_from([2**8, 2**40, 2**62, 2**70]).flatmap(
+           lambda top: st.lists(st.integers(0, top), max_size=40, unique=True)),
+       st.integers(-2**80, 2**80), st.lists(TOP_GAPS, max_size=6))
+@example(s=[0, 1, 2], shift=0, gaps=[0])  # 4: 4 + 0 = 2 * 2
+@example(s=list(range(31)) + [2**62], shift=0, gaps=[1, 1])
+def test_isolated_tops_peel_exactly(s, shift, gaps):
+    # a chain of tops, each 2 max - min + gap: the oracle equals the Counter
+    # and the profile on the whole set, and the route gets the set less the
+    # isolated tops (gap >= 1) above the highest one that is not
+    els = sorted(x + shift for x in s)
+    chain = []  # the gaps of the tops appended, bottom up
+    for gap in gaps:
+        if els and 2 * els[-1] - els[0] + gap > els[-1]:
+            els.append(2 * els[-1] - els[0] + gap)
+            chain.append(gap)
+    a = IntSet(els)
+    want = _energy_counter(a.elements)
+    assert energy_from_profile(difference_profile(a)) == want
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        sizes = []
+        record_routes(monkeypatch, sizes)
+        assert energy_oracle(a) == want
+    n = len(a)
+    isolated = 0
+    while isolated < len(chain) and chain[-1 - isolated] >= 1:
+        isolated += 1
+    if isolated < len(chain):  # the peel stops at a top with gap -1 or 0
+        assert sizes[0] == n - isolated
+    else:
+        assert min(1, n) <= sizes[0] <= n - isolated
+
+
+def test_builder_witness_routes_get_the_unpeeled_rest(monkeypatch):
+    # the tail above the last swapped block is isolated element by element;
+    # the last swapped element, 2 x_(3i-1) - x_(3i-2), is not, and neither is
+    # the body's top in these builds, so the route gets n - (j - 3 swaps)
+    sizes = []
+    record_routes(monkeypatch, sizes)
+    for n in (32, 47, 97, 200, 400, 480):
+        for t in band_targets(n):
+            res = constructions.build_with_target_energy(n, t)
+            sizes.clear()
+            assert energy_oracle(res.witness) == t
+            assert sizes == [n - (res.j - 3 * res.swaps)]
 
 
 # where the first element of a set of the given total span sits: at or just
@@ -373,7 +447,7 @@ def test_bincount_unique_boundary(monkeypatch):
     # else the int32 sort
     routes = record_routes(monkeypatch)
     for top, want in ((371, "bincount"), (372, "sort")):
-        a = IntSet(list(range(31)) + [top])
+        a = beside_top(32, top)
         by_profile = energy_from_profile(difference_profile(a))
         routes.clear()
         assert energy_oracle(a) == by_profile
@@ -387,7 +461,7 @@ def test_fft_boundary(monkeypatch):
     # (2^3 * 3^3 * 5) and the cut rises to 22,914 pairs
     routes = record_routes(monkeypatch)
     for n, top, want in ((212, 511, "bincount"), (213, 511, "fft"), (213, 512, "bincount")):
-        a = IntSet(list(range(n - 1)) + [top])
+        a = beside_top(n, top)
         by_profile = energy_from_profile(difference_profile(a))
         assert routes[-1] == want  # the profile's table has the same size and L
         routes.clear()
@@ -396,7 +470,7 @@ def test_fft_boundary(monkeypatch):
     # the n = 213 set takes the FFT only while _fft_error_bound < 1/4: with
     # _FFT_ERROR just below and just past the constant where the bound meets
     # 1/4, the FFT, then the bincount, and every count equals the Counter
-    a = IntSet(list(range(212)) + [511])
+    a = beside_top(213, 511)
     edge = 0.25 * intset._FFT_ERROR / intset._fft_error_bound(213, (1024,))
     for scale, want in ((1 - 1e-9, "fft"), (1 + 1e-9, "bincount")):
         monkeypatch.setattr(intset, "_FFT_ERROR", edge * scale)
@@ -556,8 +630,9 @@ SPLIT_SETS = {
     "int64 table": tuple(sorted(random.Random(64).sample(range(2**30, 2**32), 800))),
     "2^64-scale": tuple(2**64 + x for x in random.Random(65).sample(range(10**6), 800)),
     "negative": tuple(-2**40 + x for x in random.Random(66).sample(range(10**6), 800)),
-    # one offset in class 1, then one in class 0 (the minimum is off the rest)
-    "one odd offset": odd_one_out(800, 6, 10**6 + 1),
+    # one offset in class 1, on top but not isolated (1,000,693 < 2 * 999,438),
+    # then one in class 0 (the minimum is off the rest)
+    "one odd offset": odd_one_out(800, 1254, 1254 * 798 + 1),
     "odd minimum": odd_one_out(800, 6000, -3),
     "all 0 mod 8 but one": odd_one_out(800, 8 * 997, 4),
     "progression of step 3,000": tuple(range(0, 3000 * 800, 3000)),
@@ -878,10 +953,11 @@ COLLIDING_GAPS = st.sampled_from([_HASH_MODULUS, 2 * _HASH_MODULUS, 2**60, 2**60
     lambda k: st.lists(st.integers(1, 2**k), min_size=32, max_size=120)),
     st.none() | st.tuples(st.integers(0, 119), COLLIDING_GAPS),
     st.integers(-2**1100, 2**1100))
-@example(gaps=[1] * 31 + [2**62], collide=None, t=0)
-@example(gaps=[1] * 40 + [2**62], collide=(31, _HASH_MODULUS), t=-2**1100)
+@example(gaps=[1] * 30 + [2**62, 1], collide=None, t=0)
+@example(gaps=[1] * 39 + [2**62, 1], collide=(31, _HASH_MODULUS), t=-2**1100)
 def test_hashed_route_matches_counter(gaps, collide, t):
-    # every set is exact, whether its hashes collide or not
+    # every set is exact, whether its hashes collide or not; the examples end
+    # in a pair past 2^62, so no top is peeled and all of them are hashed
     if collide is not None:
         gaps[collide[0] % len(gaps)] = collide[1]
     a = IntSet(x + t for x in accumulate(gaps))
@@ -904,11 +980,12 @@ def test_hash_collisions_fall_back_to_counter(els, monkeypatch):
     els = tuple(els)
     want = _energy_counter(els)
     assert energy_from_profile(difference_profile(els)) == want
+    assert energy_oracle(els) == want
     routes = record_routes(monkeypatch)
-    # the first set spans less than 2^62, so energy_oracle counts it in
-    # numpy; the hashed route is exact on any offsets, so call it directly
-    got = intset._energy_hashed(els) if _int64_safe(els) else energy_oracle(els)
-    assert got == want
+    # energy_oracle counts the first set in numpy, as it spans less than
+    # 2^62, and peels both tops of the third; the hashed route is exact on
+    # any offsets, so call it directly
+    assert intset._energy_hashed(els) == want
     assert routes == ["hashed", "counter"]
 
 
@@ -919,14 +996,18 @@ def band_targets(n):
     return [lo, lo + 4 * (steps // 2), hi]
 
 
-def check_builder_witnesses(sizes, monkeypatch):
+def check_builder_witnesses(sizes, monkeypatch, base=10):
+    """Each witness of ``band_targets`` counted three ways: by the hashed
+    route on all of its offsets, which must not fall back to the Counter, by
+    ``energy_oracle``, which peels its isolated top, and by the Counter."""
     routes = record_routes(monkeypatch)
     for n in sizes:
         for t in band_targets(n):
-            w = constructions.build_with_target_energy(n, t).witness
+            w = constructions.build_with_target_energy(n, t, base).witness
             routes.clear()
-            assert energy_oracle(w) == t
+            assert intset._energy_hashed(tuple(x - w[0] for x in w)) == t
             assert routes == ["hashed"]
+            assert energy_oracle(w) == t
             assert _energy_counter(w.elements) == t
 
 
@@ -938,14 +1019,9 @@ def test_builder_witnesses_match_counter(monkeypatch):
 
 @pytest.mark.parametrize("base", [16, 64, 1024])
 def test_builder_at_power_of_two_bases_stays_hashed(base, monkeypatch):
-    # 2, 16, 64 and 1024 repeat no residue mod P, so a build and its
-    # self-check at a power-of-two base never fall back to the Counter
-    routes = record_routes(monkeypatch)
-    for t in band_targets(400):
-        routes.clear()
-        res = constructions.build_with_target_energy(400, t, base)
-        assert res.reached and energy_oracle(res.witness) == t
-        assert "counter" not in routes and "hashed" in routes
+    # 2, 16, 64 and 1024 repeat no residue mod P, so the hashed route never
+    # falls back to the Counter on a witness built at a power-of-two base
+    check_builder_witnesses([400], monkeypatch, base)
 
 
 @pytest.mark.slow
@@ -956,11 +1032,13 @@ def test_builder_witnesses_match_counter_all_sizes(monkeypatch):
 def test_hashed_route_ignores_pair_block(monkeypatch):
     # _PAIR_BLOCK caps only bincount blocks: 40 elements past 2^62 have 780
     # unordered pairs, and the hashed route counts them under any cap
+    # (energy_oracle would peel the whole lacunary set, so the route is
+    # called on its offsets directly)
     a = IntSet([5**i for i in range(40)])
     want = energy_from_profile(difference_profile(a))
     routes = record_routes(monkeypatch)
     monkeypatch.setattr(intset, "_PAIR_BLOCK", 100)
-    assert energy_oracle(a) == want
+    assert intset._energy_hashed(tuple(x - 1 for x in a)) == want
     assert routes == ["hashed"]
 
 

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from itertools import product as iproduct
 
+import numpy as np
 import pytest
 
 from addenergy import (
@@ -51,6 +52,12 @@ def test_product_validation():
         ProductSet(1, (product_set([[0]]).factors[0],))
     with pytest.raises(ValueError):
         product_set([[0, 5]], alphabet_size=3)
+    # the alphabet is read through operator.index: a float is refused, never
+    # used to build float codes
+    for bad in (2.5, 3.0, np.float64(3.0), "3"):
+        with pytest.raises(ValueError):
+            product_set([[0, 1], [0, 1]], bad)
+    assert type(product_set([[0, 1]], np.int64(3)).alphabet_size) is int
     with pytest.raises(ValueError):
         product_set([])
     big = product_set([list(range(10))] * 5, 10)

@@ -15,8 +15,10 @@ Each run of a probe is a fresh interpreter whose ``PYTHONPATH`` is one side's
   ``bench/run.py``'s pass loop for ``PASS_SECONDS``, with its ``op_ms_p50``,
   ``wall_s``, ``op_ms_tail`` and result digest;
 * ``hashed``: per build-band seed, the sums over the witnesses of the best of
-  ``BEST_OF`` runs of ``intset._energy_hashed`` on a witness's offsets and of
-  its build with the self-check replaced by the known energy (the schedule);
+  ``BEST_OF`` runs of ``intset._energy_hashed`` on a witness's offsets, of
+  ``energy_oracle`` on the witness (the self-check, isolated tops peeled) and
+  of its build with the self-check replaced by the known energy (the
+  schedule);
   the ``tracemalloc`` peak per pair of one hashed count on random 70-bit
   offsets and on a progression of step 2^100 + 1; and each large count past
   2^62 (``LARGE_COUNTS``) in a process of its own, so that its peak RSS is its
@@ -189,15 +191,17 @@ def hashed() -> dict:
     out: dict = {}
     build, recount = constructions.build_with_target_energy, constructions.energy_oracle
     for seed in HASHED_SEEDS:
-        witness = schedule = 0.0
+        witness = oracle = schedule = 0.0
         for item in BuildBand().deck(seed):
             res = build(*item.args)
             els = res.witness.elements
             witness += best_s(intset._energy_hashed, tuple(x - els[0] for x in els))
+            oracle += best_s(recount, res.witness)
             constructions.energy_oracle = lambda _, energy=res.energy: energy
             schedule += best_s(build, *item.args)
             constructions.energy_oracle = recount
         out[f"seed {seed} witness ms"] = 1000 * witness
+        out[f"seed {seed} oracle ms"] = 1000 * oracle
         out[f"seed {seed} schedule ms"] = 1000 * schedule
     rng = random.Random(12)
     for n in MEMORY_SIZES:
