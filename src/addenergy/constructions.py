@@ -148,8 +148,9 @@ def tail_contribution(n: int, j: int) -> int:
     A tail element x above a set S of size s with x + min S > 2 * max S
     makes s new sums x + b, each above every sum of S and all distinct, and
     the double 2x above them, so it adds exactly 4s + 1 (the lemma
-    ``energy_oracle`` peels by).  Summed over s = n - j, ..., n - 1 this is
-    2n(n - 1) - 2b(b - 1) + j, b = n - j.
+    ``energy_oracle`` peels by; a swapped block's last element 2y - x meets
+    the one sum y + y as well, at x, and adds 4s + 5).  Summed over
+    s = n - j, ..., n - 1 this is 2n(n - 1) - 2b(b - 1) + j, b = n - j.
     """
     b = n - j
     return 2 * n * (n - 1) - 2 * b * (b - 1) + j
@@ -309,12 +310,12 @@ def build_with_target_energy(n: int, target: int, base: int = 10) -> BuildResult
     by ``energy_oracle``; a miss returns a ``reached=False`` result carrying
     the closest achieved value.
 
-    The recount peels the tail above the last swapped block in O(1) per
-    element (``tail_contribution``'s 4s + 1 lemma) and counts the body and
-    the swapped blocks by direct counting.  It tests each element's
-    isolation on the witness itself, not on the schedule, so a schedule bug
-    that left a tail element not isolated is still counted directly and
-    caught here.
+    The recount peels the whole tail in O(log n) per element: a lone tail
+    element adds 4s + 1 (``tail_contribution``), the last of a swapped
+    block 4s + 5, and the body is counted directly.  It tests each element
+    on the witness itself, not on the schedule, so a schedule bug that left
+    a tail element colliding more is still counted directly and caught
+    here.
     """
     if n < MIN_BUILD_SIZE:
         raise ValueError(f"builder supports n >= {MIN_BUILD_SIZE}")

@@ -11,10 +11,11 @@ computes it by three mutually checking routes:
     (``incremental_energy_extend``).
 
 All arithmetic is exact.  Elements are arbitrary-precision Python ints.
-``energy_oracle`` first peels the isolated top elements: while the top x and
-the rest S have x + min S > 2 * max S, the sums x + b, b in S, are distinct
-and above every sum of S, so x adds exactly 4|S| + 1 and is dropped (proof
-in its docstring).  It counts the offsets x - min of the rest by the first
+``energy_oracle`` first peels the top elements: while the top x and the rest
+S, with largest elements m > m', have x + min S > m + m', the sums x + b,
+b in S, are distinct and above every sum of S but 2m, so x adds exactly
+4|S| + 1, plus 4 if 2m - x is in S, and is dropped (proof in its
+docstring).  It counts the offsets x - min of the rest by the first
 route that fits its own size and diameter:
 
   * fewer than ``_NUMPY_MIN_SIZE`` elements: a pure-Python Counter
@@ -1163,19 +1164,24 @@ def energy_oracle(a) -> int:
     is counted; the energy is sum r(s)^2.  This is the reference method every
     other energy route is checked against.
 
-    First the isolated top elements are peeled: while n >= 2 and
-    x + min S > 2 * max S, for x the top element and S the n - 1 below it,
-    x is dropped and 4|S| + 1 added.  Every sum x + b, b in S, is at least
-    x + min S, so above every sum of S; these sums are distinct, as the b
-    are, and 2x lies above them all.  So each new sum is hit by exactly the
-    ordered pairs (x, b) and (b, x), or (x, x), and E(S + {x}) = E(S) +
-    4|S| + 1 exactly, in Python ints, so there is no overflow bound.  This
-    is still a direct count of the sum multiset: each peeled sum is shown to
-    be hit once, not assumed.  At equality x + min S = 2 * max S is a true
-    collision, so the test is strict.  The test is made on the elements
-    themselves, not on how the set was built, so a builder's tail element
-    that is not isolated is counted directly.  Peeling costs one comparison
-    on a set with no isolated top.
+    First the top elements are peeled.  Let x be the top element,
+    S the n - 1 below it, and m > m' the two largest elements of S (m' = m
+    when |S| = 1).  Every ordered pair of S other than (m, m) sums to at
+    most m + m'.  While n >= 2 and x + min S > m + m', x is dropped and
+    4|S| + 1 added, plus 4 if 2m - x is in S.  Every sum x + b, b in S, is
+    at least x + min S, so it is above every sum of S except perhaps 2m;
+    these sums are distinct, as the b are, and 2x lies above them all.  So
+    r(x + b) = r_S(x + b) + 2, which is 3 when x + b = 2m and 2 otherwise,
+    r(2x) = 1, and E(S + {x}) = E(S) + 4|S| + 1 + 4 [2m - x in S] exactly,
+    in Python ints, so there is no overflow bound.  This is still a direct
+    count of the sum multiset: each peeled sum is shown to be hit once, or
+    by (m, m) and by (x, b) and (b, x) alone, not assumed.  At equality
+    x + min S = m + m' a sum may be hit twice more, so the test is strict.
+    A builder's tail element adds 4|S| + 1, and the top 2c - a of a swapped
+    block {a, c, 2c - a} adds 4|S| + 5, its swap's 4 (a + 2c - a = c + c).
+    The test is made on the elements themselves, not on how the set was
+    built, so a builder's element that does not pass it is counted
+    directly.  Peeling costs one comparison on a set with no peelable top.
 
     The remaining elements are counted by the first route that fits their
     own size and diameter: fewer than ``_NUMPY_MIN_SIZE`` elements go to
@@ -1188,9 +1194,11 @@ def energy_oracle(a) -> int:
     els = _as_intset(a).elements
     n = len(els)
     peeled = 0
-    while n >= 2 and els[n - 1] + els[0] > 2 * els[n - 2]:
+    while n >= 2 and els[n - 1] + els[0] > els[n - 2] + els[max(n - 3, 0)]:
         n -= 1
-        peeled += 4 * n + 1
+        twin = 2 * els[n - 1] - els[n]  # x + twin = 2m
+        i = bisect_left(els, twin, 0, n)
+        peeled += 4 * n + 1 + 4 * (i < n and els[i] == twin)
     els = els[:n]
     if n < _NUMPY_MIN_SIZE:
         return peeled + _energy_counter(els)

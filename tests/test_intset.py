@@ -9,7 +9,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -356,30 +356,43 @@ def test_int64_boundary_routes(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# isolated tops: peeled before any route
+# tops peeled before any route
 # ---------------------------------------------------------------------------
 
-# how far a new top x lies past 2 max S - min S: at 0, x + min S = 2 max S is
-# a true collision and x is not isolated; from 1 on it is
+# a new top x is placed at anchor - min S + gap, the anchor being 2 max S
+# ("double": at gap 0 x meets 2 max S at min S, at gap -1 perhaps at
+# min S + 1) or max S + the second largest of S ("pair": from gap 1 on no sum
+# of S but 2 max S reaches x + min S)
+TOP_ANCHORS = st.sampled_from(["double", "pair"])
 TOP_GAPS = st.sampled_from([-1, 0, 1, 2**70])
+
+
+def peels(els):
+    """Whether the top x of ascending ``els`` may be peeled: x + min of the
+    rest exceeds every pair sum of the rest but the double of its top."""
+    *rest, x = els
+    sums = [u + v for u, v in combinations_with_replacement(rest, 2)][:-1]
+    return bool(rest) and (not sums or x + rest[0] > max(sums))
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(st.sampled_from([2**8, 2**40, 2**62, 2**70]).flatmap(
            lambda top: st.lists(st.integers(0, top), max_size=40, unique=True)),
-       st.integers(-2**80, 2**80), st.lists(TOP_GAPS, max_size=6))
-@example(s=[0, 1, 2], shift=0, gaps=[0])  # 4: 4 + 0 = 2 * 2
-@example(s=list(range(31)) + [2**62], shift=0, gaps=[1, 1])
-def test_isolated_tops_peel_exactly(s, shift, gaps):
-    # a chain of tops, each 2 max - min + gap: the oracle equals the Counter
-    # and the profile on the whole set, and the route gets the set less the
-    # isolated tops (gap >= 1) above the highest one that is not
+       st.integers(-2**80, 2**80), st.lists(st.tuples(TOP_ANCHORS, TOP_GAPS), max_size=6))
+@example(s=[0, 1, 2], shift=0, tops=[("double", 0)])  # 4: 4 + 0 = 2 * 2, peeled
+@example(s=[0, 1, 2], shift=0, tops=[("pair", 0)])  # 3: 3 + 0 = 2 + 1, kept
+@example(s=list(range(31)) + [2**62], shift=0, tops=[("pair", 1), ("double", 1)])
+def test_isolated_tops_peel_exactly(s, shift, tops):
+    # a chain of tops: the oracle equals the Counter and the profile on the
+    # whole set, and the route gets the set less every top that ``peels``,
+    # from the highest down
     els = sorted(x + shift for x in s)
-    chain = []  # the gaps of the tops appended, bottom up
-    for gap in gaps:
-        if els and 2 * els[-1] - els[0] + gap > els[-1]:
-            els.append(2 * els[-1] - els[0] + gap)
-            chain.append(gap)
+    for anchor, gap in tops:
+        if els:
+            second = els[-2] if len(els) >= 2 else els[-1]
+            x = (2 * els[-1] if anchor == "double" else els[-1] + second) - els[0] + gap
+            if x > els[-1]:
+                els.append(x)
     a = IntSet(els)
     want = _energy_counter(a.elements)
     assert energy_from_profile(difference_profile(a)) == want
@@ -387,20 +400,17 @@ def test_isolated_tops_peel_exactly(s, shift, gaps):
         sizes = []
         record_routes(monkeypatch, sizes)
         assert energy_oracle(a) == want
-    n = len(a)
-    isolated = 0
-    while isolated < len(chain) and chain[-1 - isolated] >= 1:
-        isolated += 1
-    if isolated < len(chain):  # the peel stops at a top with gap -1 or 0
-        assert sizes[0] == n - isolated
-    else:
-        assert min(1, n) <= sizes[0] <= n - isolated
+    rest = len(a)
+    while rest >= 2 and peels(a.elements[:rest]):
+        rest -= 1
+    assert sizes[0] == rest
 
 
 def test_builder_witness_routes_get_the_unpeeled_rest(monkeypatch):
-    # the tail above the last swapped block is isolated element by element;
-    # the last swapped element, 2 x_(3i-1) - x_(3i-2), is not, and neither is
-    # the body's top in these builds, so the route gets n - (j - 3 swaps)
+    # every tail element is peeled: a lone one adds 4s + 1, and the last of a
+    # swapped block {x, y, 2y - x} meets only y + y, at x, and adds 4s + 5;
+    # the body's top b + k is kept in these builds (k <= b - 4), so the route
+    # gets the body, n - j elements
     sizes = []
     record_routes(monkeypatch, sizes)
     for n in (32, 47, 97, 200, 400, 480):
@@ -408,7 +418,7 @@ def test_builder_witness_routes_get_the_unpeeled_rest(monkeypatch):
             res = constructions.build_with_target_energy(n, t)
             sizes.clear()
             assert energy_oracle(res.witness) == t
-            assert sizes == [n - (res.j - 3 * res.swaps)]
+            assert sizes == [n - res.j]
 
 
 # where the first element of a set of the given total span sits: at or just
@@ -1053,11 +1063,14 @@ def test_hashed_route_ignores_pair_block(monkeypatch):
 def test_neighbour_check_in_slices(els, route, monkeypatch):
     # the hashed route checks its keys in blocks sized by its own table, with
     # a mismatch or without
+    # both sets start at 0, so their elements are their offsets; the route is
+    # called on them directly, since energy_oracle peels the first set's top
     a = IntSet(els)
     want = _energy_counter(a.elements)
     routes = record_routes(monkeypatch)
-    assert energy_oracle(a) == want
+    assert intset._energy_hashed(a.elements) == want
     assert routes == route
+    assert energy_oracle(a) == want
 
 
 HASHED_EDGE_SETS = [

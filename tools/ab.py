@@ -16,7 +16,7 @@ Each run of a probe is a fresh interpreter whose ``PYTHONPATH`` is one side's
   ``wall_s``, ``op_ms_tail`` and result digest;
 * ``hashed``: per build-band seed, the sums over the witnesses of the best of
   ``BEST_OF`` runs of ``intset._energy_hashed`` on a witness's offsets, of
-  ``energy_oracle`` on the witness (the self-check, isolated tops peeled) and
+  ``energy_oracle`` on the witness (the self-check, its tail peeled) and
   of its build with the self-check replaced by the known energy (the
   schedule);
   the ``tracemalloc`` peak per pair of one hashed count on random 70-bit
